@@ -26,7 +26,6 @@ from .microstructure import (
     build_two_well_sawtooth,
     competitor_ideal_energy,
     solve_transition_ode,
-    zero_mean_shift,
 )
 from .potential import (
     Coercivity,

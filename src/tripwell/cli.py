@@ -10,6 +10,7 @@ byte-identical output apart from the manifest's wall_time_s field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,7 +23,7 @@ from . import __version__
 from .analysis import measure_report
 from .constants import check_hypotheses, limit_constants
 from .energy import energy_Ieps
-from .errors import TripwellError
+from .errors import NumericError, TripwellError
 from .grids import GridFunction
 from .microstructure import (
     build_h7_competitor,
@@ -59,13 +60,16 @@ def _digest_bytes(data: bytes) -> str:
 
 
 def _fmt_floats(obj):
-    """Round every float to 12 significant digits for printing."""
+    """Round every float to 12 significant digits for printing.
+
+    A NaN or infinity raises NumericError: JSON has no spelling for it.
+    """
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if not np.isfinite(x):
-            return None
+            raise NumericError(f"non-finite value {x} in the output")
         return float(f"{x:.12g}")
     if isinstance(obj, (int, np.integer)):
         return int(obj)
@@ -191,9 +195,7 @@ def _cmd_sweep(args, t0):
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        opts_dict = {k: getattr(opts, k) for k in
-                     ("grid_n", "max_iters", "grad_tol", "starts", "seed", "step_rule")}
-        packed = [(spec.to_dict(), e, opts_dict) for e in eps_list]
+        packed = [(spec.to_dict(), e, dataclasses.asdict(opts)) for e in eps_list]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_sweep_entry, packed))
     else:

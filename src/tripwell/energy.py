@@ -55,12 +55,18 @@ def discrete_derivatives(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(u) < 3:
         raise GridError("need at least 3 nodes for second differences")
-    h = u.cell_widths()
+    _, ux, uxx = _nodal_derivatives(u.nodes, u.values)
+    return ux, uxx
+
+
+def _nodal_derivatives(x: np.ndarray, v: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cell widths, u_x on cells, u_xx at interior nodes) of values v at x."""
+    h = np.diff(x)
     if np.any(h <= 0.0):
         raise GridError("duplicate nodes")
-    ux = u.slopes()
-    uxx = 2.0 * (ux[1:] - ux[:-1]) / (h[:-1] + h[1:])
-    return ux, uxx
+    ux = np.diff(v) / h
+    return h, ux, 2.0 * (ux[1:] - ux[:-1]) / (h[:-1] + h[1:])
 
 
 def _interior_trapz_weights(nodes: np.ndarray) -> np.ndarray:
@@ -186,19 +192,7 @@ def interface_plus_W(u: GridFunction, eps: float, density,
         raise GridError("subrange must contain at least 3 nodes")
     # operate on raw slices: boundary-zero validation does not apply here
     x = nodes[i0:i1 + 1]
-    v = u.values[i0:i1 + 1]
-    h = np.diff(x)
-    ux = np.diff(v) / h
-    uxx = 2.0 * (ux[1:] - ux[:-1]) / (h[:-1] + h[1:])
-    xw = x[1:-1]
-    if len(xw) >= 2:
-        w = np.empty(len(xw))
-        w[0] = 0.5 * (xw[1] - xw[0])
-        w[-1] = 0.5 * (xw[-1] - xw[-2])
-        if len(xw) > 2:
-            w[1:-1] = 0.5 * (xw[2:] - xw[:-2])
-        raw_if = float(np.dot(w, uxx * uxx))
-    else:
-        raw_if = 0.0
+    h, ux, uxx = _nodal_derivatives(x, u.values[i0:i1 + 1])
+    raw_if = float(np.dot(_interior_trapz_weights(x), uxx * uxx))
     raw_W = float(np.dot(h, density.W(ux)))
     return eps**4 * raw_if + raw_W / eps**2

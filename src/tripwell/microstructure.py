@@ -27,12 +27,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .constants import LimitConstants, limit_constants
+from .constants import LimitConstants, gauss_legendre_panels, limit_constants
 from .errors import ConstructionError, GridError, ParameterError
 from .grids import GridFunction, integrate_slopes
-from .potential import PotentialSpec, coercivity_of, sqrt_W
+from .potential import PotentialSpec, coercivity_exponent, sqrt_W
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +60,6 @@ class TransitionTable:
         return float(self.x_tab[0]), float(self.x_tab[-1])
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
 @functools.lru_cache(maxsize=64)
 def _transition_table(spec: PotentialSpec, z_lo: float, z_hi: float,
                       anchor_w: float, n_side: int = 400,
@@ -83,11 +79,7 @@ def _transition_table(spec: PotentialSpec, z_lo: float, z_hi: float,
         [anchor_w], z_lo + offs, z_hi - offs,
         np.linspace(z_lo + 0.2 * span, z_hi - 0.2 * span, n_mid),
     ]))
-    a = w_pts[:-1]
-    h = np.diff(w_pts)
-    nodes = a[:, None] + 0.5 * h[:, None] * (1.0 + _GL_NODES[None, :])
-    vals = 1.0 / sqrt_W(spec, nodes)
-    steps = 0.5 * h * (vals @ _GL_WEIGHTS)
+    steps = gauss_legendre_panels(lambda w: 1.0 / sqrt_W(spec, w), w_pts)
     x = np.concatenate([[0.0], np.cumsum(steps)])
     x -= np.interp(anchor_w, w_pts, x)
     return TransitionTable(z_lo=z_lo, z_hi=z_hi, w_tab=w_pts, x_tab=x)
@@ -128,42 +120,6 @@ def solve_transition_ode(spec: PotentialSpec, eps: float, branch: str,
         if np.max(steps) > eps**3 / 10.0 * (1.0 + 1e-9):
             raise GridError("x_grid does not resolve the transition layer (step > eps^3/10)")
     return w
-
-
-def zero_mean_shift(wave, period_l: float, n_quad: int = 20_001,
-                    bracket: tuple[float, float] | None = None) -> float:
-    """Shift omega* with integral of wave(s - omega*) over one period equal 0.
-
-    ``wave`` is a vectorized callable, monotone from negative to positive
-    values across the window.  The mean is a continuous decreasing function of
-    the shift, so bisection applies; the root is polished until the residual
-    drops below 1e-12 * period_l * max|wave|.
-    """
-    if period_l <= 0.0:
-        raise ParameterError("period must be positive")
-    s = np.linspace(0.0, period_l, n_quad)
-    h = s[1] - s[0]
-
-    def F(om):
-        vals = np.asarray(wave(s - om), dtype=float)
-        return float(np.dot(np.full(n_quad - 1, h), 0.5 * (vals[:-1] + vals[1:])))
-
-    lo, hi = bracket if bracket is not None else (-period_l, 2.0 * period_l)
-    flo, fhi = F(lo), F(hi)
-    if flo < 0.0 or fhi > 0.0:
-        raise ConstructionError("mean has no sign change on the shift bracket")
-    scale = float(np.max(np.abs(wave(s - 0.5 * (lo + hi))))) or 1.0
-    tol = 1e-12 * period_l * scale
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = F(mid)
-        if abs(fmid) <= tol:
-            return mid
-        if fmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +177,16 @@ def _discrete_zero_shift(eval_w, rel: np.ndarray, bracket: tuple[float, float]):
     return om, eval_w(rel - om)
 
 
-def _assemble_pieces(a: float, b: float, l: float, rel: np.ndarray,
+def _assemble_pieces(a: float, b: float, l: float, piece_nodes: list[np.ndarray],
                      piece_values: list[np.ndarray], eps: float,
                      meta: dict) -> GridFunction:
-    """Concatenate per-piece samples (shared boundary nodes dropped)."""
-    nodes = [a + rel]
+    """Concatenate pieces of width l from a to b; piece i has its nodes
+    (relative to its left end) in piece_nodes[i], and shared boundary nodes
+    are dropped."""
+    nodes = [a + piece_nodes[0]]
     vals = [piece_values[0]]
     for i in range(1, len(piece_values)):
-        nodes.append(a + i * l + rel[1:])
+        nodes.append(a + i * l + piece_nodes[i][1:])
         vals.append(piece_values[i][1:])
     all_nodes = np.concatenate(nodes)
     all_nodes[0] = a
@@ -302,11 +260,10 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
     om, w_up = _discrete_zero_shift(eval_w, rel, (om0 - halfwidth, om0 + halfwidth))
     w_down = eval_w(l - om - rel)
     pieces = [w_up if i % 2 == 0 else w_down for i in range(N)]
-    gf = _assemble_pieces(a, b, l, rel, pieces, eps, meta={
+    return _assemble_pieces(a, b, l, [rel] * N, pieces, eps, meta={
         "kind": "two-well", "N": N, "omega_star": om,
         "l_N": l, "d_eps": l / eps, "d_star": c.d_star,
     })
-    return gf
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +281,7 @@ class ThreeWellRise:
     def __init__(self, spec: PotentialSpec, eps: float):
         self.spec = spec
         self.eps = eps
-        q = coercivity_of(spec).q
+        q = coercivity_exponent(spec)
         self.mu = eps ** (2.0 / (max(3.0, q) - 2.0))
         z1, z2, z3 = spec.wells
         if not (self.mu < 0.25 * min(z2 - z1, z3 - z2)):
@@ -415,21 +372,8 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
     block_nodes, block_vals, block_plateau = _matching_block(
         spec, eps, rise, l, w_start, w_end, layer_res, plateau_pts)
 
-    pieces_nodes = [block_nodes]
-    pieces_vals = [block_vals]
-    for i in range(1, M):
-        pieces_nodes.append(rel)
-        pieces_vals.append(w_down if i % 2 == 1 else w_up)
-
-    nodes = [a + pieces_nodes[0]]
-    vals = [pieces_vals[0]]
-    for i in range(1, M):
-        nodes.append(a + i * l + pieces_nodes[i][1:])
-        vals.append(pieces_vals[i][1:])
-    all_nodes = np.concatenate(nodes)
-    all_nodes[0] = a
-    all_nodes[-1] = b
-    return integrate_slopes(all_nodes, np.concatenate(vals), eps=eps, meta={
+    pieces = [block_vals] + [w_down if i % 2 == 1 else w_up for i in range(1, M)]
+    return _assemble_pieces(a, b, l, [block_nodes] + [rel] * (M - 1), pieces, eps, meta={
         "kind": "three-well", "M": M, "omega_star": om,
         "l_M": l, "h_eps": l / eps, "h_star": c.h_star,
         "mu": rise.mu, "block_plateau": block_plateau,
@@ -705,16 +649,7 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
         if widths[jstar] <= 0.0 or widths[jstar + 1] <= 0.0:
             raise ConstructionError("zero-mean correction exhausted a plateau")
 
-    all_nodes = [a + nodes]
-    all_vals = [vals]
-    for k in range(1, periods):
-        all_nodes.append(a + k * T + nodes[1:])
-        all_vals.append(vals[1:])
-    full_nodes = np.concatenate(all_nodes)
-    full_nodes[0] = a
-    full_nodes[-1] = b
-    return integrate_slopes(full_nodes, np.concatenate(all_vals),
-                            eps=eps, meta={})
+    return _assemble_pieces(a, b, T, [nodes] * periods, [vals] * periods, eps, meta={})
 
 
 def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPlan,

@@ -11,6 +11,7 @@ values with the exact discrete gradient; boundary values stay pinned at zero.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -20,15 +21,16 @@ from scipy import optimize
 from .analysis import transition_layers, volume_fractions
 from .constants import LimitConstants, check_hypotheses, limit_constants
 from .energy import energy_gradient, energy_Ieps
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, TripwellError
 from .grids import GridFunction
 from .microstructure import (
     build_h7_competitor,
     build_h8_competitor,
     build_three_well_profile,
     build_two_well_sawtooth,
+    two_well_count,
 )
-from .potential import coercivity_of
+from .potential import coercivity_exponent
 
 QUASI_NEWTON = "quasi-newton"
 GRADIENT_ARMIJO = "gradient-armijo"
@@ -175,14 +177,17 @@ def _random_sawtooth(spec, eps: float, n: int, base_count: int,
                                                  "count": count})
 
 
-def _build_seeds(spec, eps: float, opts: MinimizeOptions,
-                 constants: LimitConstants) -> list[tuple[str, GridFunction]]:
-    seeds: list[tuple[str, GridFunction]] = [
-        ("two-well", build_two_well_sawtooth(spec, eps, constants=constants)),
-    ]
+def _seed_builders(spec, eps: float, opts: MinimizeOptions,
+                   constants: LimitConstants) -> list[tuple[str, functools.partial]]:
+    """(start kind, seed builder) for every start, in start order.
+
+    The random seeds share one generator, so they must be built in this order.
+    """
+    seeds = [("two-well", functools.partial(
+        build_two_well_sawtooth, spec, eps, constants=constants))]
     if opts.starts >= 2:
-        seeds.append(("three-well",
-                      build_three_well_profile(spec, eps, constants=constants)))
+        seeds.append(("three-well", functools.partial(
+            build_three_well_profile, spec, eps, constants=constants)))
     if opts.starts > 2:
         report = check_hypotheses(spec, constants=constants)
         for verdict, builder, kind in (
@@ -190,14 +195,14 @@ def _build_seeds(spec, eps: float, opts: MinimizeOptions,
             (report.h8, build_h8_competitor, "h8-competitor"),
         ):
             if verdict.status == "fails" and len(seeds) < opts.starts:
-                seeds.append((kind, builder(spec, eps, verdict.worst_y,
-                                            constants=constants)))
+                seeds.append((kind, functools.partial(
+                    builder, spec, eps, verdict.worst_y, constants=constants)))
     rng = np.random.default_rng(opts.seed)
-    base = seeds[0][1].meta.get("N", 4)
+    base = two_well_count(spec, eps, 1.0, constants)
     idx = 0
     while len(seeds) < opts.starts:
-        seeds.append((f"random-{idx}",
-                      _random_sawtooth(spec, eps, opts.grid_n, base, rng)))
+        seeds.append((f"random-{idx}", functools.partial(
+            _random_sawtooth, spec, eps, opts.grid_n, base, rng)))
         idx += 1
     return seeds[: opts.starts]
 
@@ -211,13 +216,12 @@ def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
     if every start fails, the per-start reasons are aggregated.
     """
     c = constants if constants is not None else limit_constants(spec)
-    seeds = _build_seeds(spec, eps, opts, c)
     results: list[MinimizeResult] = []
     failures: list[str] = []
-    for kind, seed in seeds:
+    for kind, build in _seed_builders(spec, eps, opts, c):
         try:
-            r = minimize_Ieps(spec, eps, seed, opts)
-        except Exception as exc:  # noqa: BLE001 - aggregate per-start failures
+            r = minimize_Ieps(spec, eps, build(), opts)
+        except TripwellError as exc:
             failures.append(f"{kind}: {exc}")
             continue
         r.start_kind = kind
@@ -242,7 +246,7 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
         raise ParameterError("eps ladder must be strictly decreasing")
     c = constants if constants is not None else limit_constants(spec)
-    q = coercivity_of(spec).q
+    q = coercivity_exponent(spec)
     z1, z2, z3 = spec.wells
     eta_layer_cap = 0.45 * min(z2 - z1, z3 - z2)
     records: list[SweepRecord] = []

@@ -193,17 +193,25 @@ def eta0_bound(spec: PotentialSpec) -> float:
     return min(1.0, -z1, z2, 0.5 * (z3 - z2))
 
 
+def coercivity_exponent(spec: PotentialSpec) -> float:
+    """Exponent q of the coercivity bound: the attached record's, else the
+    largest well order, which is exact and needs no sampling."""
+    if spec.coercivity is not None:
+        return spec.coercivity.q
+    return float(max(well_order(spec, z) for z in spec.wells))
+
+
 def estimate_coercivity(spec: PotentialSpec, grid_n: int = 100_000) -> Coercivity:
     """Estimate (q, eta0, c0) such that W(s) >= c0 * min(min_i|s-z_i|^q, eta0^q).
 
-    q is the largest local well order, eta0 takes 90% of its strict upper
+    q is ``coercivity_exponent(spec)``, eta0 takes 90% of its strict upper
     bound, and c0 is the largest constant that survives a dense sample grid
     over [z1-2, z3+2].  The estimate is sampled, not certified.
     """
     if grid_n < 1000:
         raise ParameterError("grid_n must be at least 1000")
     z1, z2, z3 = spec.wells
-    q = float(max(well_order(spec, z) for z in spec.wells))
+    q = coercivity_exponent(spec)
     eta0 = 0.9 * eta0_bound(spec)
     s = np.linspace(z1 - 2.0, z3 + 2.0, grid_n)
     dist = np.min(np.abs(s[:, None] - np.asarray(spec.wells)[None, :]), axis=1)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from tripwell import GridFunction
 from tripwell.cli import main
 
 EX1 = {"kind": "polynomial-triple-well", "wells": [-1.0, 1.0 / 3.0, 1.0]}
@@ -117,6 +118,19 @@ def test_sweep_csv_deterministic(spec_files, tmp_path):
     assert header == "eps,best_value,lambda1,lambda2,lambda3,layersA,layersB,start_kind"
 
 
+def test_sweep_jobs_match_serial(spec_files, tmp_path):
+    p1, _ = spec_files
+    outs = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"jobs{jobs}.csv")
+        r = run_cli("sweep", "--potential", p1, "--eps", "0.1,0.07",
+                    "--starts", "2", "--seed", "11", "--max-iters", "30",
+                    "--grid-n", "2001", "--jobs", jobs, "--out", out)
+        assert r.returncode == 0, r.stderr
+        outs.append(open(out, "rb").read())
+    assert outs[0] == outs[1]
+
+
 def test_seed_env_override(spec_files, tmp_path):
     p1, _ = spec_files
     a = str(tmp_path / "a.csv")
@@ -149,6 +163,19 @@ def test_exit_codes(spec_files, tmp_path):
     assert err["error"]["type"] == "ConstructionError"
     r = run_cli("constants", "--potential", str(tmp_path / "missing.json"))
     assert r.returncode == 2
+
+
+def test_non_finite_output_fails(spec_files, tmp_path):
+    p1, _ = spec_files
+    values = np.zeros(11)
+    values[1:-1] = 0.01
+    values[5] = np.nan
+    prof = str(tmp_path / "nan.json")
+    GridFunction(np.linspace(0.0, 1.0, 11), values, eps=0.1).save(prof)
+    r = run_cli("energy", "--profile", prof, "--potential", p1)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"]["type"] == "NumericError"
 
 
 def test_digest_tracks_file_bytes(spec_files, tmp_path):

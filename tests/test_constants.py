@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
-from tripwell import H_antiderivative, check_hypotheses, eval_f, interface_energies, limit_constants
+from tripwell import H_antiderivative, PotentialSpec, check_hypotheses, eval_f, interface_energies, limit_constants
 from tripwell.errors import ParameterError
 
 from conftest import EX1_E0_EXACT, EX1_E1_EXACT, EX2_E0_EXACT, EX2_E1_EXACT
@@ -45,6 +49,49 @@ def test_interface_energies_published_values(ex1, ex2):
 def test_interface_energy_tolerance_guard(ex1):
     with pytest.raises(ParameterError):
         interface_energies(ex1, tol=1.0)
+
+
+def _custom(spec, factor=(1.0,)):
+    """The canonical density of ``spec`` times a positive polynomial factor,
+    given as a custom-polynomial spec."""
+    coeffs = npp.polymul(spec.coeffs, factor)
+    return PotentialSpec(kind="custom-polynomial", wells=spec.wells, coeffs=tuple(coeffs))
+
+
+def test_custom_copies_reproduce_exact_constants(ex1, ex2):
+    for spec, exact in ((ex1, (EX1_E0_EXACT, EX1_E1_EXACT)),
+                        (ex2, (EX2_E0_EXACT, EX2_E1_EXACT))):
+        custom = _custom(spec)
+        c = limit_constants(custom)
+        assert c.E0 == pytest.approx(exact[0], abs=1e-12)
+        assert c.E1 == pytest.approx(exact[1], abs=1e-12)
+        ref = check_hypotheses(spec).as_dict()
+        got = check_hypotheses(custom, constants=c).as_dict()
+        for name in ("H6", "H7", "H8"):
+            assert got[name]["status"] == ref[name]["status"]
+            assert len(got[name]["violation_intervals"]) == len(ref[name]["violation_intervals"])
+            assert got[name]["worst_y"] == pytest.approx(ref[name]["worst_y"], abs=1e-6)
+
+
+def test_custom_density_matches_adaptive_quadrature(ex1):
+    from scipy import integrate
+
+    custom = _custom(ex1, (1.0, 0.0, 1.0))      # no closed form in the code
+    z1, z2, z3 = ex1.wells
+    E0, E1 = interface_energies(custom)
+    for got, a, b in ((E0, z1, z2), (E1, z2, z3)):
+        ref, _ = integrate.quad(lambda s: float(custom.sqrtW(s)), a, b,
+                                epsabs=1e-14, epsrel=1e-14, limit=200)
+        assert got == pytest.approx(2.0 * ref, abs=1e-12)
+    H = [H_antiderivative(custom, z) for z in (z1, z2)]
+    assert H[1] - H[0] == pytest.approx(E0 / 2.0, abs=1e-12)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, tripwell; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_antiderivative_properties(ex1):
@@ -207,5 +254,3 @@ def test_comparison_functions_dominate_scaled_line():
 def test_parameter_guards(ex1):
     with pytest.raises(ParameterError):
         check_hypotheses(ex1, y_max=5.0)
-    with pytest.raises(ParameterError):
-        check_hypotheses(ex1, grid_n=10)

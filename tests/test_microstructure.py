@@ -11,10 +11,9 @@ from tripwell import (
     eval_f,
     solve_transition_ode,
     sqrt_W,
-    zero_mean_shift,
 )
 from tripwell.errors import ConstructionError, GridError, ParameterError
-from tripwell.microstructure import competitor_plan, two_well_count
+from tripwell.microstructure import _discrete_zero_shift, competitor_plan, two_well_count
 
 
 def tooth_boundaries(u):
@@ -81,18 +80,24 @@ def test_layer_width_scaling(ex1):
     assert widths[0.05] == pytest.approx(predicted, rel=0.05)
 
 
+def _zero_shift(wave, period):
+    return _discrete_zero_shift(wave, np.linspace(0.0, period, 20_001),
+                                (-period, 2.0 * period))
+
+
 def test_zero_mean_shift_symmetric_wave():
     period = 0.4
-    omega = zero_mean_shift(lambda s: np.tanh(s / 0.02), period)
+    omega, _ = _zero_shift(lambda s: np.tanh(s / 0.02), period)
     assert omega == pytest.approx(period / 2.0, abs=1e-9)
 
 
 def test_zero_mean_shift_definitional_recheck(ex1):
     eps = 0.08
     period = 0.25
-    omega = zero_mean_shift(lambda s: _wave(ex1, eps, s), period)
+    omega, shifted = _zero_shift(lambda s: _wave(ex1, eps, s), period)
     s = np.linspace(0.0, period, 20_001)
     vals = _wave(ex1, eps, s - omega)
+    assert np.array_equal(shifted, vals)
     residual = abs(float(np.dot(np.diff(s), 0.5 * (vals[:-1] + vals[1:]))))
     assert residual <= 1e-12 * period * np.max(np.abs(vals)) * 1.001
 
@@ -104,7 +109,7 @@ def _wave(spec, eps, s):
 
 def test_zero_mean_shift_bad_bracket(ex1):
     with pytest.raises(ConstructionError):
-        zero_mean_shift(lambda s: np.abs(s) + 1.0, 0.3)
+        _zero_shift(lambda s: np.abs(s) + 1.0, 0.3)
 
 
 def test_tooth_positive_fraction_approaches_limit(ex1, c1):

@@ -80,6 +80,14 @@ def test_single_start_matches_two_well_descent(ex1, c1):
     assert multi.value == direct.value
 
 
+def test_multi_start_skips_a_seed_that_fails_to_build(ex2, c2):
+    # at eps 0.1 the h7 competitor's transitions do not fit inside its plateaus
+    opts = MinimizeOptions(starts=3, seed=3, max_iters=10)
+    res = multi_start(ex2, 0.1, opts, c2)
+    assert res.start_kind == "two-well"
+    assert [k for k, _, _ in res.per_start] == ["two-well", "three-well"]
+
+
 def test_multi_start_reproducible(ex1, c1):
     a = multi_start(ex1, 0.1, FAST, c1)
     b = multi_start(ex1, 0.1, FAST, c1)
