@@ -219,7 +219,7 @@ def _make_opts(args) -> MinimizeOptions:
     seed = int(os.environ.get("TRIPWELL_SEED", args.seed))
     return MinimizeOptions(
         grid_n=args.grid_n, max_iters=args.max_iters, grad_tol=args.grad_tol,
-        starts=args.starts, seed=seed, step_rule=args.step_rule,
+        starts=args.starts, seed=seed,
     )
 
 
@@ -343,8 +343,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--max-iters", dest="max_iters", type=int, default=200)
         sp.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-4)
-        sp.add_argument("--step-rule", dest="step_rule", default="quasi-newton",
-                        choices=["quasi-newton", "gradient-armijo"])
         sp.set_defaults(func=_cmd_minimize if name == "minimize" else _cmd_sweep)
 
     sp = sub.add_parser("analyze", help="measure diagnostics of a profile")

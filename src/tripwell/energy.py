@@ -11,6 +11,12 @@ pinned), and midpoint on cells for W(u_x), whose argument is the piecewise
 constant cell slope.  The gradient is the exact derivative of this discrete
 functional with respect to interior nodal values.
 
+One kernel, ``_kernel``, does the grid work on raw (nodes, values) arrays: one
+pass forms the cell widths, u_x, u_xx, the interior trapezoid weights and the
+3-point stencil, and returns the three raw energy parts and, when asked, the
+exact gradient.  The energies, ``energy_gradient``, ``interface_plus_W`` and
+the descent objective only validate, scale and package its output.
+
 Any density object exposing W(s)/dW(s) is accepted, so decoupled convexity
 checks can swap in a plain quadratic.
 """
@@ -53,8 +59,6 @@ def discrete_derivatives(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     u_xx uses the 3-point second difference on a nonuniform grid, which is
     exact for quadratics.
     """
-    if len(u) < 3:
-        raise GridError("need at least 3 nodes for second differences")
     _, ux, uxx = _nodal_derivatives(u.nodes, u.values)
     return ux, uxx
 
@@ -62,6 +66,8 @@ def discrete_derivatives(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 def _nodal_derivatives(x: np.ndarray, v: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cell widths, u_x on cells, u_xx at interior nodes) of values v at x."""
+    if len(x) < 3:
+        raise GridError("need at least 3 nodes for second differences")
     h = np.diff(x)
     if np.any(h <= 0.0):
         raise GridError("duplicate nodes")
@@ -90,7 +96,61 @@ def _stencil(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, -(a + c), c
 
 
-def _under_resolved(u: GridFunction, eps: float, ux: np.ndarray, density) -> bool:
+def _kernel(x: np.ndarray, v: np.ndarray, eps: float, density, grad: bool = False):
+    """One pass over values v at nodes x: (h, u_x, raw parts, E_eps gradient).
+
+    The raw parts are the unscaled integrals of u_xx^2, W(u_x) and u^2; the
+    gradient (interior nodes, None unless ``grad``) is the E_eps one, so eps
+    enters only there.  No boundary or eps validation happens here.
+    """
+    h, ux, uxx = _nodal_derivatives(x, v)
+    w_int = _interior_trapz_weights(x)
+    raw_if = float(np.dot(w_int, uxx * uxx))
+    raw_W = float(np.dot(h, density.W(ux)))
+    u2 = v * v
+    raw_u2 = float(np.dot(h, 0.5 * (u2[:-1] + u2[1:])))
+    g = None
+    if grad:
+        # interface term: chain rule through the stencil; the slice adds keep
+        # the per-node order (a, then b, then c) of a scatter-add
+        a, b, c = _stencil(h)
+        t = 2.0 * w_int * uxx
+        g_if = np.zeros(len(x))
+        g_if[:-2] += t * a
+        g_if[1:-1] += t * b
+        g_if[2:] += t * c
+        # W term: cells j-1 and j both see u_j through their slopes
+        dW = np.asarray(density.dW(ux))
+        # u^2 term under the nodal trapezoid rule
+        g = eps**6 * g_if[1:-1] + (dW[:-1] - dW[1:]) + v[1:-1] * (h[:-1] + h[1:])
+    return h, ux, (raw_if, raw_W, raw_u2), g
+
+
+def _scale(raw: tuple[float, float, float], g, eps: float, scaling: str):
+    """(interface, bulk_W, bulk_u2) and the gradient of a kernel pass in ``scaling``."""
+    raw_if, raw_W, raw_u2 = raw
+    if scaling == I_EPS:
+        if g is not None:
+            # in place: a scaled copy would free the kernel's buffer, the last
+            # grid-sized block on the heap, and the allocator hands such a
+            # freed top back to the system, so every later call faults it in
+            g /= eps**2
+        return (eps**4 * raw_if, raw_W / eps**2, raw_u2 / eps**2), g
+    if scaling == E_EPS:
+        return (eps**6 * raw_if, raw_W, raw_u2), g
+    raise GridError(f"unknown scaling {scaling!r}")
+
+
+def _ieps_value_and_gradient(x: np.ndarray, v: np.ndarray, eps: float, density
+                             ) -> tuple[float, np.ndarray]:
+    """The descent objective: I_eps total and gradient from one kernel pass,
+    bit-identical to ``energy_Ieps(...).total`` and ``energy_gradient``."""
+    _, _, raw, g = _kernel(x, v, eps, density, grad=True)
+    parts, g = _scale(raw, g, eps, I_EPS)
+    return float(parts[0] + parts[1] + parts[2]), g
+
+
+def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
     """Coarse-grid flag: a large slope jump across cells wider than eps^3.
 
     The slope jump is the discrete u_xx integrated over the cell pair, so this
@@ -104,7 +164,6 @@ def _under_resolved(u: GridFunction, eps: float, ux: np.ndarray, density) -> boo
     if scale <= 0.0:
         return False
     jump = np.abs(np.diff(ux))
-    h = u.cell_widths()
     wide = np.maximum(h[:-1], h[1:]) > eps**3
     return bool(np.any((jump > 0.05 * scale) & wide))
 
@@ -112,24 +171,13 @@ def _under_resolved(u: GridFunction, eps: float, ux: np.ndarray, density) -> boo
 def energy_breakdown(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> EnergyBreakdown:
     if eps <= 0.0:
         raise GridError("eps must be positive")
-    ux, uxx = discrete_derivatives(u)
-    h = u.cell_widths()
-    w_int = _interior_trapz_weights(u.nodes)
-    raw_interface = float(np.dot(w_int, uxx * uxx))
-    raw_W = float(np.dot(h, density.W(ux)))
-    u2 = u.values * u.values
-    raw_u2 = float(np.dot(h, 0.5 * (u2[:-1] + u2[1:])))
-    if scaling == I_EPS:
-        parts = (eps**4 * raw_interface, raw_W / eps**2, raw_u2 / eps**2)
-    elif scaling == E_EPS:
-        parts = (eps**6 * raw_interface, raw_W, raw_u2)
-    else:
-        raise GridError(f"unknown scaling {scaling!r}")
+    h, ux, raw, _ = _kernel(u.nodes, u.values, eps, density)
+    parts, _ = _scale(raw, None, eps, scaling)
     return EnergyBreakdown(
         total=parts[0] + parts[1] + parts[2],
         interface=parts[0], bulk_W=parts[1], bulk_u2=parts[2],
         scaling=scaling,
-        under_resolved=_under_resolved(u, eps, ux, density),
+        under_resolved=_under_resolved(h, ux, eps, density),
     )
 
 
@@ -147,33 +195,8 @@ def energy_gradient(u: GridFunction, eps: float, density, scaling: str = I_EPS) 
     """d(energy)/d(u_j) at interior nodes (boundary nodes are pinned)."""
     if eps <= 0.0:
         raise GridError("eps must be positive")
-    ux, uxx = discrete_derivatives(u)
-    h = u.cell_widths()
-    n = len(u)
-
-    # W term: cells j-1 and j both see u_j through their slopes
-    dW = np.asarray(density.dW(ux))
-    g_W = dW[:-1] - dW[1:]
-
-    # u^2 term under the nodal trapezoid rule
-    g_u2 = u.values[1:-1] * (h[:-1] + h[1:])
-
-    # interface term: chain rule through the 3-point stencil
-    w_int = _interior_trapz_weights(u.nodes)
-    a, b, c = _stencil(h)
-    t = 2.0 * w_int * uxx
-    g_if = np.zeros(n)
-    np.add.at(g_if, np.arange(0, n - 2), t * a)
-    np.add.at(g_if, np.arange(1, n - 1), t * b)
-    np.add.at(g_if, np.arange(2, n), t * c)
-    g_if = g_if[1:-1]
-
-    g_E = eps**6 * g_if + g_W + g_u2
-    if scaling == I_EPS:
-        return g_E / eps**2
-    if scaling == E_EPS:
-        return g_E
-    raise GridError(f"unknown scaling {scaling!r}")
+    _, _, raw, g = _kernel(u.nodes, u.values, eps, density, grad=True)
+    return _scale(raw, g, eps, scaling)[1]
 
 
 def interface_plus_W(u: GridFunction, eps: float, density,
@@ -191,8 +214,6 @@ def interface_plus_W(u: GridFunction, eps: float, density,
     if i1 - i0 < 2:
         raise GridError("subrange must contain at least 3 nodes")
     # operate on raw slices: boundary-zero validation does not apply here
-    x = nodes[i0:i1 + 1]
-    h, ux, uxx = _nodal_derivatives(x, u.values[i0:i1 + 1])
-    raw_if = float(np.dot(_interior_trapz_weights(x), uxx * uxx))
-    raw_W = float(np.dot(h, density.W(ux)))
-    return eps**4 * raw_if + raw_W / eps**2
+    _, _, raw, _ = _kernel(nodes[i0:i1 + 1], u.values[i0:i1 + 1], eps, density)
+    (interface, bulk_W, _), _ = _scale(raw, None, eps, I_EPS)
+    return interface + bulk_W

@@ -20,7 +20,7 @@ from scipy import optimize
 
 from .analysis import transition_layers, volume_fractions
 from .constants import LimitConstants, check_hypotheses, limit_constants
-from .energy import energy_gradient, energy_Ieps
+from .energy import _ieps_value_and_gradient, energy_gradient, energy_Ieps
 from .errors import ConstructionError, ParameterError, TripwellError
 from .grids import GridFunction
 from .microstructure import (
@@ -32,10 +32,6 @@ from .microstructure import (
 )
 from .potential import coercivity_exponent
 
-QUASI_NEWTON = "quasi-newton"
-GRADIENT_ARMIJO = "gradient-armijo"
-
-
 @dataclass(frozen=True)
 class MinimizeOptions:
     """Knobs for one local descent and for the multi-start orchestration."""
@@ -45,7 +41,6 @@ class MinimizeOptions:
     grad_tol: float = 1e-4         # sup-norm stopping threshold
     starts: int = 5
     seed: int = 0
-    step_rule: str = QUASI_NEWTON
 
     def __post_init__(self):
         if self.grad_tol <= 0.0:
@@ -60,6 +55,7 @@ class MinimizeResult:
     value: float
     converged: bool
     iterations: int
+    n_fev: int = 0                 # objective evaluations of the descent
     start_kind: str = ""
     history: list = field(default_factory=list)
     per_start: list = field(default_factory=list)
@@ -85,71 +81,46 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
                   opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """Descend the discrete rescaled energy from ``init`` over interior values.
 
-    Quasi-Newton (L-BFGS) with line search by default; accepted iterates are
-    nonincreasing in energy, and the best visited point is returned even when
-    the line search stalls (``converged`` is False then).
+    L-BFGS-B with the exact gradient; each objective evaluation is one pass
+    of the energy kernel.  ``history`` holds the energy of ``init`` and then
+    the energy at each accepted iterate (``iterations + 1`` entries,
+    nonincreasing); ``n_fev`` counts the objective evaluations.  The best
+    evaluated point is returned even when the line search stalls
+    (``converged`` is False then).
     """
     nodes = init.nodes
     full = init.values.copy()
     history = [float(energy_Ieps(init, eps, spec).total)]
 
     best = {"f": history[0], "x": full[1:-1].copy()}
+    n_fev = 0
 
     def fg(x):
+        nonlocal n_fev
+        n_fev += 1
         full[1:-1] = x
-        gf = GridFunction(nodes, full, eps=eps)
-        f = float(energy_Ieps(gf, eps, spec).total)
-        g = energy_gradient(gf, eps, spec)
+        f, g = _ieps_value_and_gradient(nodes, full, eps, spec)
         if f < best["f"]:
             best["f"] = f
             best["x"] = x.copy()
         return f, g
 
-    x0 = full[1:-1].copy()
-    if opts.step_rule == QUASI_NEWTON:
-        res = optimize.minimize(
-            fg, x0, jac=True, method="L-BFGS-B",
-            callback=lambda xk: history.append(float(fg(xk)[0])),
-            options={"maxiter": opts.max_iters, "gtol": opts.grad_tol,
-                     "ftol": 1e-16, "maxcor": 12},
-        )
-        iterations = int(res.nit)
-        line_ok = res.status != 2
-    elif opts.step_rule == GRADIENT_ARMIJO:
-        iterations, line_ok = _armijo_descent(fg, x0, opts, history)
-    else:
-        raise ParameterError(f"unknown step rule {opts.step_rule!r}")
+    res = optimize.minimize(
+        fg, full[1:-1].copy(), jac=True, method="L-BFGS-B",
+        # the accepted iterate is the last evaluated point, so its value is at hand
+        callback=lambda intermediate_result: history.append(float(intermediate_result.fun)),
+        options={"maxiter": opts.max_iters, "gtol": opts.grad_tol,
+                 "ftol": 1e-16, "maxcor": 12},
+    )
 
     full[1:-1] = best["x"]
     full[0] = 0.0
     full[-1] = 0.0
     u_best = GridFunction(nodes.copy(), full.copy(), eps=eps, meta=dict(init.meta))
     g_final = energy_gradient(u_best, eps, spec)
-    converged = bool(line_ok and np.max(np.abs(g_final)) <= opts.grad_tol)
+    converged = bool(res.status != 2 and np.max(np.abs(g_final)) <= opts.grad_tol)
     return MinimizeResult(u=u_best, value=best["f"], converged=converged,
-                          iterations=iterations, history=history)
-
-
-def _armijo_descent(fg, x, opts, history):
-    f, g = fg(x)
-    step = 1.0 / max(1.0, float(np.max(np.abs(g))))
-    for it in range(opts.max_iters):
-        if np.max(np.abs(g)) <= opts.grad_tol:
-            return it, True
-        gnorm2 = float(np.dot(g, g))
-        t = step
-        while t > 1e-20:
-            xn = x - t * g
-            fn, gn = fg(xn)
-            if fn <= f - 1e-4 * t * gnorm2:
-                x, f, g = xn, fn, gn
-                history.append(f)
-                step = min(t * 2.0, 1e6)
-                break
-            t *= 0.5
-        else:
-            return it, False
-    return opts.max_iters, True
+                          iterations=int(res.nit), n_fev=n_fev, history=history)
 
 
 def _random_sawtooth(spec, eps: float, n: int, base_count: int,

@@ -163,6 +163,9 @@ def test_exit_codes(spec_files, tmp_path):
     assert err["error"]["type"] == "ConstructionError"
     r = run_cli("constants", "--potential", str(tmp_path / "missing.json"))
     assert r.returncode == 2
+    r = run_cli("sweep", "--potential", p1, "--eps", "0.1", "--out", str(tmp_path / "s.csv"),
+                "--step-rule", "quasi-newton")
+    assert r.returncode == 1                             # the flag is gone
 
 
 def test_non_finite_output_fails(spec_files, tmp_path):

@@ -7,11 +7,16 @@ from tripwell.grids import integrate_slopes
 from tripwell.microstructure import build_two_well_sawtooth
 
 
-def random_smooth_profile(n, seed, amplitude=0.3):
+def random_smooth_profile(n, seed, amplitude=0.3, jitter=0.0):
+    """Smooth random profile; jitter > 0 moves each interior node by up to
+    that fraction of a cell, so neighbouring cells differ in width."""
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, n)
     k = np.arange(1, 9)
-    u = np.sin(np.pi * np.outer(x, k)) @ (rng.normal(0.0, amplitude, 8) / k**2)
+    coeffs = rng.normal(0.0, amplitude, 8) / k**2
+    if jitter:
+        x[1:-1] += rng.uniform(-jitter, jitter, n - 2) / (n - 1)
+    u = np.sin(np.pi * np.outer(x, k)) @ coeffs
     u[0] = 0.0
     u[-1] = 0.0
     return GridFunction(x, u)
@@ -69,10 +74,14 @@ def test_rescaled_vs_unrescaled(ex1, two_well_ladder):
     assert np.allclose(gi, ge / eps**2, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_gradient_matches_finite_differences(ex1, seed):
+# the last case is a jittered (random, sorted) grid, where the stencil's left
+# and right cell widths differ at every interior node; the jitter stays small
+# because the central difference's truncation error grows with that contrast
+@pytest.mark.parametrize("seed, jitter", [pytest.param(s, 0.0, id=str(s)) for s in range(5)]
+                         + [pytest.param(5, 0.05, id="nonuniform")])
+def test_gradient_matches_finite_differences(ex1, seed, jitter):
     eps = 0.25
-    u = random_smooth_profile(2001, seed)
+    u = random_smooth_profile(2001, seed, jitter=jitter)
     g = energy_gradient(u, eps, ex1)
     rng = np.random.default_rng(100 + seed)
     probes = rng.choice(np.arange(1, 2000), size=20, replace=False)
