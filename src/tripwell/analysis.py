@@ -5,11 +5,13 @@ family of the unregularized problem.
 The gradient u_x of a profile is treated as piecewise constant per cell when
 measuring sets (consistent with the midpoint energy quadrature) and as
 piecewise linear between cell midpoints when locating threshold crossings.
+The layers of each band come from one vectorized scan of that polyline, and
+the d-intervals pair each A+ layer with the A-band layer that follows it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,82 +117,59 @@ def volume_fractions(u: GridFunction, spec: PotentialSpec, eta: float) -> Volume
                            overlap=bool(eta >= eta0_bound(spec)))
 
 
-def _gradient_polyline(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """u_x as a piecewise-linear function through the cell midpoints."""
-    return u.midpoints(), u.slopes()
-
-
 def _band_layers(x: np.ndarray, v: np.ndarray, lo: float, hi: float,
                  plus: str, minus: str) -> list[TransitionLayer]:
     """Maximal intervals with v strictly inside (lo, hi) joining the thresholds.
 
-    Crossings are located by linear interpolation on the polyline.  Runs that
-    enter and leave through the same threshold are not layers, and runs
-    clipped by the domain boundary are discarded (their endpoint never
-    attains the defining value).
+    The runs come from the edges of the inside mask.  Runs clipped by the
+    domain boundary are discarded (their endpoint never attains the defining
+    value), and runs that enter and leave through the same threshold are not
+    layers.  Crossings are located by linear interpolation on the polyline.
     """
-    layers: list[TransitionLayer] = []
     inside = (v > lo) & (v < hi)
-    n = len(v)
-    i = 0
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and inside[j + 1]:
-            j += 1
-        # entry crossing on segment (i-1, i), exit on (j, j+1)
-        if i > 0 and j + 1 < n:
-            enter_level = lo if v[i - 1] <= lo else hi
-            exit_level = lo if v[j + 1] <= lo else hi
-            if enter_level != exit_level:
-                x_in = _cross(x[i - 1], x[i], v[i - 1], v[i], enter_level)
-                x_out = _cross(x[j], x[j + 1], v[j], v[j + 1], exit_level)
-                kind = plus if enter_level == lo else minus
-                layers.append(TransitionLayer(kind=kind, span=(x_in, x_out)))
-        i = j + 1
-    return layers
+    edges = np.flatnonzero(np.diff(inside, prepend=False, append=False))
+    i, j = edges[0::2], edges[1::2] - 1          # first and last point of each run
+    keep = (i > 0) & (j < len(v) - 1)
+    i, j = i[keep], j[keep]
+    up = v[i - 1] <= lo                          # entered through lo
+    turn = up != (v[j + 1] <= lo)                # left through the other level
+    i, j, up = i[turn], j[turn], up[turn]
+    x_in = _cross(x[i - 1], x[i], v[i - 1], v[i], np.where(up, lo, hi))
+    x_out = _cross(x[j], x[j + 1], v[j], v[j + 1], np.where(up, hi, lo))
+    return [TransitionLayer(kind=plus if p else minus, span=(a, b))
+            for p, a, b in zip(up.tolist(), x_in.tolist(), x_out.tolist())]
 
 
-def _cross(x0: float, x1: float, v0: float, v1: float, level: float) -> float:
-    if v1 == v0:
-        return x0
-    t = (level - v0) / (v1 - v0)
-    return float(x0 + t * (x1 - x0))
+def _cross(x0: np.ndarray, x1: np.ndarray, v0: np.ndarray, v1: np.ndarray,
+           level: np.ndarray) -> np.ndarray:
+    """Where each segment (x0, v0)-(x1, v1) meets ``level``; x0 if it is flat."""
+    flat = v1 == v0
+    t = (level - v0) / np.where(flat, 1.0, v1 - v0)
+    return np.where(flat, x0, x0 + t * (x1 - x0))
 
 
 def transition_layers(u: GridFunction, spec: PotentialSpec, eta: float) -> list[TransitionLayer]:
     """All A+/A-/B+/B- layers of u at collar radius eta, in position order.
 
-    A band degenerates (its list is empty) when 2*eta exceeds the gap between
-    the corresponding wells: no interval can then satisfy the definition.
+    The crossings are located on u_x as a piecewise-linear function through
+    the cell midpoints.  A band is empty when 2*eta reaches the gap between
+    its wells: no value then lies strictly inside it.
     """
     z1, z2, z3 = spec.wells
     if eta <= 0.0:
         raise ParameterError("eta must be positive")
-    x, v = _gradient_polyline(u)
-    layers: list[TransitionLayer] = []
-    if z1 + eta < z2 - eta:
-        layers += _band_layers(x, v, z1 + eta, z2 - eta, "A+", "A-")
-    if z2 + eta < z3 - eta:
-        layers += _band_layers(x, v, z2 + eta, z3 - eta, "B+", "B-")
+    x, v = u.midpoints(), u.slopes()
+    layers = (_band_layers(x, v, z1 + eta, z2 - eta, "A+", "A-")
+              + _band_layers(x, v, z2 + eta, z3 - eta, "B+", "B-"))
     return sorted(layers, key=lambda L: L.span[0])
-
-
-def _measure_in(u: GridFunction, lo: float, hi: float, z: float, eta: float) -> float:
-    """Cell measure of {x in (lo,hi): |u_x(x) - z| <= eta} (cells pro-rated)."""
-    s = u.slopes()
-    left = np.maximum(u.nodes[:-1], lo)
-    right = np.minimum(u.nodes[1:], hi)
-    overlap = np.maximum(right - left, 0.0)
-    return float(np.dot(overlap, (np.abs(s - z) <= eta).astype(float)))
 
 
 def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
                 thresholds: tuple[float, float] = (0.1, 10.0)) -> list[DInterval]:
     """Pair A+/A- layers into excursion cores and classify them.
 
+    An A+ layer pairs with the next A-band layer when that one is an A-;
+    otherwise (another A+ follows, or nothing) its interval is "open".
     Types follow the size/sign taxonomy: "0" when max(alpha, beta) leaves
     (eps*R_lo, eps*R_hi); "I" when u keeps one sign at the core endpoints;
     "II" when it changes sign with 0 or >= 4 inner B-layers; "III"/"IV" when
@@ -200,31 +179,27 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
     """
     if u.eps <= 0.0:
         raise ParameterError("interval classification needs the profile's eps")
-    z1, z2, z3 = spec.wells
+    _, z2, z3 = spec.wells
     r_lo, r_hi = thresholds
-    x, v = _gradient_polyline(u)
-    a_band = _band_layers(x, v, z1 + eta, z2 - eta, "A+", "A-")
-    b_band = transition_layers(u, spec, eta)
-    b_band = [L for L in b_band if L.kind in ("B+", "B-")]
+    layers = transition_layers(u, spec, eta)
+    a_band = [L for L in layers if L.kind[0] == "A"]
+    b_band = [L for L in layers if L.kind[0] == "B"]
+    s = u.slopes()
+    near_z2 = (np.abs(s - z2) <= eta).astype(float)
+    near_z3 = (np.abs(s - z3) <= eta).astype(float)
     out: list[DInterval] = []
-    plus = [L for L in a_band if L.kind == "A+"]
-    minus = [L for L in a_band if L.kind == "A-"]
-    for ap in plus:
-        partner = None
-        for am in minus:
-            if am.span[0] >= ap.span[1]:
-                # the excursion persists iff no other A+ layer starts first
-                blockers = [q for q in plus
-                            if ap.span[1] < q.span[0] < am.span[0]]
-                partner = None if blockers else am
-                break
-        if partner is None:
+    for ap, partner in zip(a_band, a_band[1:] + [None]):
+        if ap.kind != "A+":
+            continue
+        if partner is None or partner.kind != "A-":
             out.append(DInterval(span=(ap.span[1], u.nodes[-1]), alpha=0.0,
                                  beta=0.0, n_layers=0, dtype="open"))
             continue
         lo, hi = ap.span[1], partner.span[0]
-        alpha = _measure_in(u, lo, hi, z2, eta)
-        beta = _measure_in(u, lo, hi, z3, eta)
+        # cell measure of the collars in (lo, hi), cells pro-rated
+        overlap = np.maximum(np.minimum(u.nodes[1:], hi) - np.maximum(u.nodes[:-1], lo), 0.0)
+        alpha = float(np.dot(overlap, near_z2))
+        beta = float(np.dot(overlap, near_z3))
         inner_b = [L for L in b_band if L.span[0] >= lo and L.span[1] <= hi]
         n_i = len(inner_b)
         u_lo = float(np.interp(lo, u.nodes, u.values))
@@ -248,10 +223,10 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
 
 
 def _has_zero(u: GridFunction, lo: float, hi: float) -> bool:
-    xs = u.nodes[(u.nodes > lo) & (u.nodes < hi)]
+    inner = (u.nodes > lo) & (u.nodes < hi)
     vals = np.concatenate([
         [np.interp(lo, u.nodes, u.values)],
-        u.values[(u.nodes > lo) & (u.nodes < hi)],
+        u.values[inner],
         [np.interp(hi, u.nodes, u.values)],
     ])
     return bool(vals.min() <= 0.0 <= vals.max())

@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _digest(path) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return _digest_bytes(fh.read())
 
 
 def _digest_bytes(data: bytes) -> str:

@@ -19,7 +19,7 @@ whether the two-well pattern wins against mixed three-well competitors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npp

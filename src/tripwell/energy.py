@@ -13,9 +13,11 @@ functional with respect to interior nodal values.
 
 One kernel, ``_kernel``, does the grid work on raw (nodes, values) arrays: one
 pass forms the cell widths, u_x, u_xx, the interior trapezoid weights and the
-3-point stencil, and returns the three raw energy parts and, when asked, the
-exact gradient.  The energies, ``energy_gradient``, ``interface_plus_W`` and
-the descent objective only validate, scale and package its output.
+3-point stencil, and returns the three raw energy parts and the exact
+gradient, each only when asked: ``energy_gradient`` skips the value
+integrals, the energies skip the gradient, and the descent objective takes
+both from one pass.  The front-ends only validate, scale and package its
+output.
 
 Any density object exposing W(s)/dW(s) is accepted, so decoupled convexity
 checks can swap in a plain quadratic.
@@ -96,20 +98,22 @@ def _stencil(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, -(a + c), c
 
 
-def _kernel(x: np.ndarray, v: np.ndarray, eps: float, density, grad: bool = False):
+def _kernel(x: np.ndarray, v: np.ndarray, eps: float, density,
+            value: bool = True, grad: bool = False):
     """One pass over values v at nodes x: (h, u_x, raw parts, E_eps gradient).
 
-    The raw parts are the unscaled integrals of u_xx^2, W(u_x) and u^2; the
-    gradient (interior nodes, None unless ``grad``) is the E_eps one, so eps
-    enters only there.  No boundary or eps validation happens here.
+    The raw parts (None unless ``value``) are the unscaled integrals of
+    u_xx^2, W(u_x) and u^2; the gradient (interior nodes, None unless
+    ``grad``) is the E_eps one, so eps enters only there.  No boundary or eps
+    validation happens here.
     """
     h, ux, uxx = _nodal_derivatives(x, v)
     w_int = _interior_trapz_weights(x)
-    raw_if = float(np.dot(w_int, uxx * uxx))
-    raw_W = float(np.dot(h, density.W(ux)))
-    u2 = v * v
-    raw_u2 = float(np.dot(h, 0.5 * (u2[:-1] + u2[1:])))
-    g = None
+    raw = g = None
+    if value:
+        u2 = v * v
+        raw = (float(np.dot(w_int, uxx * uxx)), float(np.dot(h, density.W(ux))),
+               float(np.dot(h, 0.5 * (u2[:-1] + u2[1:]))))
     if grad:
         # interface term: chain rule through the stencil; the slice adds keep
         # the per-node order (a, then b, then c) of a scatter-add
@@ -123,22 +127,30 @@ def _kernel(x: np.ndarray, v: np.ndarray, eps: float, density, grad: bool = Fals
         dW = np.asarray(density.dW(ux))
         # u^2 term under the nodal trapezoid rule
         g = eps**6 * g_if[1:-1] + (dW[:-1] - dW[1:]) + v[1:-1] * (h[:-1] + h[1:])
-    return h, ux, (raw_if, raw_W, raw_u2), g
+    return h, ux, raw, g
 
 
-def _scale(raw: tuple[float, float, float], g, eps: float, scaling: str):
-    """(interface, bulk_W, bulk_u2) and the gradient of a kernel pass in ``scaling``."""
+def _scale_parts(raw: tuple[float, float, float], eps: float, scaling: str
+                 ) -> tuple[float, float, float]:
+    """(interface, bulk_W, bulk_u2) of a kernel pass in ``scaling``."""
     raw_if, raw_W, raw_u2 = raw
     if scaling == I_EPS:
-        if g is not None:
-            # in place: a scaled copy would free the kernel's buffer, the last
-            # grid-sized block on the heap, and the allocator hands such a
-            # freed top back to the system, so every later call faults it in
-            g /= eps**2
-        return (eps**4 * raw_if, raw_W / eps**2, raw_u2 / eps**2), g
+        return eps**4 * raw_if, raw_W / eps**2, raw_u2 / eps**2
     if scaling == E_EPS:
-        return (eps**6 * raw_if, raw_W, raw_u2), g
+        return eps**6 * raw_if, raw_W, raw_u2
     raise GridError(f"unknown scaling {scaling!r}")
+
+
+def _scale_gradient(g: np.ndarray, eps: float, scaling: str) -> np.ndarray:
+    """The E_eps gradient of a kernel pass, rescaled in place to ``scaling``."""
+    if scaling == I_EPS:
+        # in place: a scaled copy would free the kernel's buffer, the last
+        # grid-sized block on the heap, and the allocator hands such a
+        # freed top back to the system, so every later call faults it in
+        g /= eps**2
+    elif scaling != E_EPS:
+        raise GridError(f"unknown scaling {scaling!r}")
+    return g
 
 
 def _ieps_value_and_gradient(x: np.ndarray, v: np.ndarray, eps: float, density
@@ -146,8 +158,8 @@ def _ieps_value_and_gradient(x: np.ndarray, v: np.ndarray, eps: float, density
     """The descent objective: I_eps total and gradient from one kernel pass,
     bit-identical to ``energy_Ieps(...).total`` and ``energy_gradient``."""
     _, _, raw, g = _kernel(x, v, eps, density, grad=True)
-    parts, g = _scale(raw, g, eps, I_EPS)
-    return float(parts[0] + parts[1] + parts[2]), g
+    parts = _scale_parts(raw, eps, I_EPS)
+    return float(parts[0] + parts[1] + parts[2]), _scale_gradient(g, eps, I_EPS)
 
 
 def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
@@ -172,7 +184,7 @@ def energy_breakdown(u: GridFunction, eps: float, density, scaling: str = I_EPS)
     if eps <= 0.0:
         raise GridError("eps must be positive")
     h, ux, raw, _ = _kernel(u.nodes, u.values, eps, density)
-    parts, _ = _scale(raw, None, eps, scaling)
+    parts = _scale_parts(raw, eps, scaling)
     return EnergyBreakdown(
         total=parts[0] + parts[1] + parts[2],
         interface=parts[0], bulk_W=parts[1], bulk_u2=parts[2],
@@ -195,8 +207,8 @@ def energy_gradient(u: GridFunction, eps: float, density, scaling: str = I_EPS) 
     """d(energy)/d(u_j) at interior nodes (boundary nodes are pinned)."""
     if eps <= 0.0:
         raise GridError("eps must be positive")
-    _, _, raw, g = _kernel(u.nodes, u.values, eps, density, grad=True)
-    return _scale(raw, g, eps, scaling)[1]
+    _, _, _, g = _kernel(u.nodes, u.values, eps, density, value=False, grad=True)
+    return _scale_gradient(g, eps, scaling)
 
 
 def interface_plus_W(u: GridFunction, eps: float, density,
@@ -215,5 +227,5 @@ def interface_plus_W(u: GridFunction, eps: float, density,
         raise GridError("subrange must contain at least 3 nodes")
     # operate on raw slices: boundary-zero validation does not apply here
     _, _, raw, _ = _kernel(nodes[i0:i1 + 1], u.values[i0:i1 + 1], eps, density)
-    (interface, bulk_W, _), _ = _scale(raw, None, eps, I_EPS)
+    interface, bulk_W, _ = _scale_parts(raw, eps, I_EPS)
     return interface + bulk_W

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tripwell import GridFunction, PotentialSpec
 from tripwell.analysis import (
+    TransitionLayer,
+    _band_layers,
     d_intervals,
     e0_family,
     empirical_young_measure,
@@ -84,6 +88,58 @@ def test_single_up_down_excursion_layers(ex1):
     assert xk[1] <= layers[0].span[0] <= layers[0].span[1] <= xk[2] + 1e-6
 
 
+def reference_band_layers(x, v, lo, hi, plus, minus):
+    """Node-by-node statement of the layer rule that ``_band_layers`` follows:
+    maximal runs of lo < v < hi that are not clipped by the domain ends and
+    that enter and leave through different thresholds, with the crossings
+    interpolated linearly on the segments next to the run."""
+    def cross(x0, x1, v0, v1, level):
+        if v1 == v0:
+            return x0
+        t = (level - v0) / (v1 - v0)
+        return float(x0 + t * (x1 - x0))
+
+    layers = []
+    inside = (v > lo) & (v < hi)
+    n = len(v)
+    i = 0
+    while i < n:
+        if not inside[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and inside[j + 1]:
+            j += 1
+        if i > 0 and j + 1 < n:
+            enter_level = lo if v[i - 1] <= lo else hi
+            exit_level = lo if v[j + 1] <= lo else hi
+            if enter_level != exit_level:
+                x_in = cross(x[i - 1], x[i], v[i - 1], v[i], enter_level)
+                x_out = cross(x[j], x[j + 1], v[j], v[j + 1], exit_level)
+                kind = plus if enter_level == lo else minus
+                layers.append(TransitionLayer(kind=kind, span=(x_in, x_out)))
+        i = j + 1
+    return layers
+
+
+LO, HI = -0.7, 0.2
+# the thresholds themselves are drawn, so the ties of the `<=` rule are hit
+BAND_VALUES = st.one_of(st.sampled_from([LO, HI, -1.0, -0.25, 0.0, 0.5]),
+                        st.floats(-1.2, 0.7, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 1.0), BAND_VALUES), min_size=1, max_size=40))
+@example([(0.5, -0.25), (0.5, 0.5), (0.5, -0.25)])          # runs touch both ends
+@example([(0.5, LO), (0.5, -0.25), (0.5, HI), (0.5, -0.25)])  # ties at both levels
+def test_band_layers_match_reference(cells):
+    x = np.cumsum([w for w, _ in cells])
+    v = np.array([y for _, y in cells])
+    got = _band_layers(x, v, LO, HI, "A+", "A-")
+    assert got == reference_band_layers(x, v, LO, HI, "A+", "A-")
+    assert all(type(a) is float for L in got for a in L.span)
+
+
 def test_two_well_layer_counts(ex1, c1):
     u = build_two_well_sawtooth(ex1, 0.07, constants=c1, counts_override=6)
     layers = transition_layers(u, ex1, 0.1)
@@ -140,6 +196,23 @@ def test_h8_competitor_classification(ex2, c2, h8_005):
     divs_b = [d for d in d_intervals(u_b, ex2, 0.1) if d.dtype != "open"]
     assert divs_b
     assert all(d.dtype == "IV" for d in divs_b)
+
+
+def test_slope_jump_over_band_leaves_open_interval(ex1):
+    # the slope drops from the z2 plateau back to z1 within one cell, so that
+    # descent leaves no A- layer: two A+ layers follow each other, the first
+    # one finds no partner before the next A+ and gets an open interval
+    z1 = ex1.wells[0]
+    slopes = np.array([z1, -0.5, 0.25, 0.25, z1, -0.5] + [0.25] * 16 + [-0.5, z1])
+    nodes = np.arange(len(slopes) + 1, dtype=float)
+    u = GridFunction(nodes, np.concatenate([[0.0], np.cumsum(slopes)]), eps=0.1)
+    layers = transition_layers(u, ex1, 0.1)
+    assert [L.kind for L in layers] == ["A+", "A+", "A-"]
+    divs = d_intervals(u, ex1, 0.1)
+    assert len(divs) == 2
+    assert divs[0].dtype == "open" and divs[1].dtype != "open"
+    assert divs[0].span == (layers[0].span[1], nodes[-1])
+    assert divs[1].span == (layers[1].span[1], layers[2].span[0])
 
 
 def test_d_interval_requires_eps(ex1):

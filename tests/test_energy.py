@@ -74,11 +74,13 @@ def test_rescaled_vs_unrescaled(ex1, two_well_ladder):
     assert np.allclose(gi, ge / eps**2, rtol=1e-12, atol=0.0)
 
 
-# the last case is a jittered (random, sorted) grid, where the stencil's left
-# and right cell widths differ at every interior node; the jitter stays small
-# because the central difference's truncation error grows with that contrast
+# the last cases are jittered (random, sorted) grids, where the stencil's left
+# and right cell widths differ at every interior node; the Richardson
+# combination of two central differences cancels their step^2 truncation
+# error, which grows with that width contrast
 @pytest.mark.parametrize("seed, jitter", [pytest.param(s, 0.0, id=str(s)) for s in range(5)]
-                         + [pytest.param(5, 0.05, id="nonuniform")])
+                         + [pytest.param(5, 0.05, id="nonuniform"),
+                            pytest.param(6, 0.3, id="jittered")])
 def test_gradient_matches_finite_differences(ex1, seed, jitter):
     eps = 0.25
     u = random_smooth_profile(2001, seed, jitter=jitter)
@@ -86,13 +88,17 @@ def test_gradient_matches_finite_differences(ex1, seed, jitter):
     rng = np.random.default_rng(100 + seed)
     probes = rng.choice(np.arange(1, 2000), size=20, replace=False)
     vals = u.values.copy()
-    for j in probes:
-        h = 1e-7 * max(1.0, abs(vals[j]))
+
+    def central(j, h):
         up = vals.copy(); up[j] += h
         dn = vals.copy(); dn[j] -= h
         fplus = energy_Ieps(GridFunction(u.nodes, up), eps, ex1).total
         fminus = energy_Ieps(GridFunction(u.nodes, dn), eps, ex1).total
-        fd = (fplus - fminus) / (2.0 * h)
+        return (fplus - fminus) / (2.0 * h)
+
+    for j in probes:
+        h = 1e-7 * max(1.0, abs(vals[j]))
+        fd = (4.0 * central(j, 0.5 * h) - central(j, h)) / 3.0
         assert abs(g[j - 1] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
