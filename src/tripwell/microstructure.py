@@ -126,15 +126,20 @@ def solve_transition_ode(spec: PotentialSpec, eps: float, branch: str,
 # tooth grids and discrete zero means
 # ---------------------------------------------------------------------------
 
+LAYER_RES = 96            # grid steps per eps^3 across a transition layer
+TOOTH_PLATEAU_PTS = 49    # coarse nodes across one tooth
+PERIOD_PLATEAU_PTS = 129  # coarse nodes across one competitor period
+
+
 def _tooth_grid(l: float, centers: list[tuple[float, float, float]],
-                eps: float, layer_res: int, plateau_pts: int) -> np.ndarray:
+                eps: float) -> np.ndarray:
     """Symmetric grid on [0, l]: coarse everywhere, fine near each transition.
 
     ``centers`` holds (center, lo_extent, hi_extent) in absolute units.  The
     grid is closed under r -> l - r so a reversed tooth reuses the same nodes.
     """
-    base = [np.linspace(0.0, l, plateau_pts)]
-    step = eps**3 / layer_res
+    base = [np.linspace(0.0, l, TOOTH_PLATEAU_PTS)]
+    step = eps**3 / LAYER_RES
     for c, lo, hi in centers:
         a = max(0.0, c + lo - 2.0 * step)
         b = min(l, c + hi + 2.0 * step)
@@ -200,31 +205,16 @@ def _assemble_pieces(a: float, b: float, l: float, piece_nodes: list[np.ndarray]
 # ---------------------------------------------------------------------------
 
 def two_well_count(spec: PotentialSpec, eps: float, length: float,
-                   constants: LimitConstants | None = None,
-                   parity: str = "any") -> int:
-    """Default tooth count: smallest integer above length/(eps*d*).
-
-    ``parity="even"`` bumps to the next even integer, which is what a profile
-    glued in front of a three-well block needs so its gradient ends on the z1
-    plateau.  A standalone profile accepts any parity; the even restriction
-    would put the rescaled period up to 25% off d* and visibly bump the
-    energy at moderate eps.
-    """
+                   constants: LimitConstants | None = None) -> int:
+    """Default tooth count: smallest integer above length/(eps*d*)."""
     c = constants if constants is not None else limit_constants(spec)
-    raw = length / (eps * c.d_star)
-    n = int(np.floor(raw)) + 1
-    if parity == "even" and n % 2 == 1:
-        n += 1
-    return n
+    return int(np.floor(length / (eps * c.d_star))) + 1
 
 
 def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
                             interval: tuple[float, float] = (0.0, 1.0),
                             constants: LimitConstants | None = None,
-                            counts_override: int | None = None,
-                            parity: str = "any",
-                            layer_res: int = 96,
-                            plateau_pts: int = 49) -> GridFunction:
+                            counts_override: int | None = None) -> GridFunction:
     """Sawtooth whose gradient alternates between the z1 and z2 plateaus.
 
     Each tooth of width l_N carries one monotone heteroclinic traverse; the
@@ -240,7 +230,7 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
     z1, z2, _ = spec.wells
     length = b - a
     N = counts_override if counts_override is not None else two_well_count(
-        spec, eps, length, c, parity)
+        spec, eps, length, c)
     if N < 2:
         raise ConstructionError(
             f"eps={eps} too large for a two-well profile on length {length}: "
@@ -250,8 +240,7 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
     tab = _lower_branch(spec)
     om0 = l * z2 / (z2 - z1)
     ext_lo, ext_hi = tab.extent
-    rel = _tooth_grid(l, [(om0, eps**3 * (ext_lo - 4.0), eps**3 * (ext_hi + 4.0))],
-                      eps, layer_res, plateau_pts)
+    rel = _tooth_grid(l, [(om0, eps**3 * (ext_lo - 4.0), eps**3 * (ext_hi + 4.0))], eps)
 
     def eval_w(s):
         return tab.w_at_scaled(np.asarray(s) / eps**3)
@@ -318,18 +307,13 @@ def three_well_count(spec: PotentialSpec, eps: float, length: float,
 def build_three_well_profile(spec: PotentialSpec, eps: float,
                              interval: tuple[float, float] = (0.0, 1.0),
                              constants: LimitConstants | None = None,
-                             counts_override: int | None = None,
-                             start_value: float | None = None,
-                             layer_res: int = 96,
-                             plateau_pts: int = 49) -> GridFunction:
+                             counts_override: int | None = None) -> GridFunction:
     """Profile whose gradient oscillates z1 <-> z3 across the bridged middle well.
 
     The first piece is a matching block: a z1 plateau of solvable length, the
-    composite rise, and a z3 plateau, stitched by eps^3-wide linear ramps to
-    the prescribed boundary gradients when those differ from the exact wells.
-    Its plateau length is chosen so the block mean vanishes; regular teeth
-    alternate reversed copies of the composite transition with zero means
-    enforced by the shift omega_*.
+    composite rise, and a z3 plateau.  Its plateau length is chosen so the
+    block mean vanishes; regular teeth alternate reversed copies of the
+    composite transition with zero means enforced by the shift omega_*.
     """
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
@@ -352,11 +336,7 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
         raise ConstructionError("eps too large: transition does not fit inside a tooth")
 
     om0 = l * z3 / (z3 - z1)
-    rel = _tooth_grid(
-        l,
-        [(om0, rise.s_min - 4.0 * eps**3, rise.s_max + 4.0 * eps**3)],
-        eps, layer_res, plateau_pts,
-    )
+    rel = _tooth_grid(l, [(om0, rise.s_min - 4.0 * eps**3, rise.s_max + 4.0 * eps**3)], eps)
 
     def eval_w(s):
         return rise.w_at(np.asarray(s))
@@ -367,10 +347,7 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
     om, w_up = _discrete_zero_shift(eval_w, rel, (om0 - halfwidth, om0 + halfwidth))
     w_down = eval_w(l - om - rel)
 
-    w_start = float(start_value) if start_value is not None else float(eval_w(-om))
-    w_end = float(eval_w(l - om))
-    block_nodes, block_vals, block_plateau = _matching_block(
-        spec, eps, rise, l, w_start, w_end, layer_res, plateau_pts)
+    block_nodes, block_vals, block_plateau = _matching_block(spec, eps, rise, l)
 
     pieces = [block_vals] + [w_down if i % 2 == 1 else w_up for i in range(1, M)]
     return _assemble_pieces(a, b, l, [block_nodes] + [rel] * (M - 1), pieces, eps, meta={
@@ -381,22 +358,14 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
 
 
 def _matching_block(spec: PotentialSpec, eps: float, rise: ThreeWellRise,
-                    l: float, w_start: float, w_end: float,
-                    layer_res: int, plateau_pts: int
-                    ) -> tuple[np.ndarray, np.ndarray, float]:
+                    l: float) -> tuple[np.ndarray, np.ndarray, float]:
     """First piece of the three-well profile on [0, l], mean forced to zero.
 
-    Layout: [stitch ramp to z1 | z1 plateau of length a | composite rise |
-    z3 plateau | stitch ramp to w_end]; the stitches have width eps^3 and
-    degenerate to nothing when the boundary gradients already sit on the
-    wells.  The plateau length a solves the linear zero-mean equation.
+    Layout: [z1 plateau of length a | composite rise | z3 plateau].  The
+    plateau length a solves the linear zero-mean equation.
     """
     z1, _, z3 = spec.wells
-    eps3 = eps**3
-    stitch_l = 0.0 if w_start == z1 else eps3
-    stitch_r = 0.0 if w_end == z3 else eps3
-
-    step = eps3 / layer_res
+    step = eps**3 / LAYER_RES
     r_rise = np.unique(np.concatenate([
         np.arange(rise.s_min, rise.s_max, step),
         np.asarray(rise.kinks), [rise.s_min, rise.s_max],
@@ -407,36 +376,21 @@ def _matching_block(spec: PotentialSpec, eps: float, rise: ThreeWellRise,
     rise_int = float(np.dot(dr, 0.5 * (v_rise[:-1] + v_rise[1:])))
     rise_len = rise.s_max - rise.s_min
 
-    int_stitch_l = 0.5 * (w_start + z1) * stitch_l
-    int_stitch_r = 0.5 * (w_end + z3) * stitch_r
-    # z1*a + rise_int + z3*(l - stitches - rise_len - a) + stitch terms == 0
-    rhs = int_stitch_l + int_stitch_r + rise_int + z3 * (l - stitch_l - stitch_r - rise_len)
-    a_len = rhs / (z3 - z1)
-    z3_len = l - stitch_l - stitch_r - rise_len - a_len
+    # z1*a + rise_int + z3*(l - rise_len - a) == 0
+    a_len = (rise_int + z3 * (l - rise_len)) / (z3 - z1)
+    z3_len = l - rise_len - a_len
     if a_len < 0.0 or z3_len < 0.0:
         raise ConstructionError(
             "no admissible matching-block plateau length: eps too large for this interval"
         )
 
-    p1 = stitch_l
-    p2 = p1 + a_len
-    p3 = p2 + rise_len
-    p4 = p3 + z3_len
-    nodes = [np.array([0.0])]
-    vals = [np.array([w_start])]
-    seg_nodes = np.linspace(p1, p2, max(3, plateau_pts // 2))
-    nodes.append(seg_nodes)
-    vals.append(np.full(len(seg_nodes), z1))
-    nodes.append(p2 + (r_rise - rise.s_min)[1:])
-    vals.append(v_rise[1:])
-    seg_nodes = np.linspace(p3, p4, max(3, plateau_pts // 2))[1:]
-    nodes.append(seg_nodes)
-    vals.append(np.full(len(seg_nodes), z3))
-    if stitch_r > 0.0:
-        nodes.append(np.array([l]))
-        vals.append(np.array([w_end]))
-    block_nodes = np.concatenate(nodes)
-    block_vals = np.concatenate(vals)
+    p3 = a_len + rise_len
+    n_plateau = TOOTH_PLATEAU_PTS // 2
+    z1_nodes = np.linspace(0.0, a_len, n_plateau)
+    z3_nodes = np.linspace(p3, p3 + z3_len, n_plateau)[1:]
+    block_nodes = np.concatenate([z1_nodes, a_len + (r_rise - rise.s_min)[1:], z3_nodes])
+    block_vals = np.concatenate([np.full(n_plateau, z1), v_rise[1:],
+                                 np.full(n_plateau - 1, z3)])
     keep = np.concatenate([[True], np.diff(block_nodes) > 1e-15 * l])
     return block_nodes[keep], block_vals[keep], a_len
 
@@ -581,12 +535,12 @@ def _transition_fn(spec: PotentialSpec, eps: float, za: float, zb: float,
 
 
 def _build_period(spec: PotentialSpec, eps: float, zvals: list[float],
-                  widths: np.ndarray, rise: ThreeWellRise | None,
-                  layer_res: int, plateau_pts: int) -> tuple[np.ndarray, np.ndarray]:
+                  widths: np.ndarray, rise: ThreeWellRise | None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """One period of the mollified pattern on [0, T]."""
     T = float(np.sum(widths))
     bounds = np.concatenate([[0.0], np.cumsum(widths)])
-    step = eps**3 / layer_res
+    step = eps**3 / LAYER_RES
     trans = []
     for j in range(len(zvals) - 1):
         fn, lo, hi = _transition_fn(spec, eps, zvals[j], zvals[j + 1], rise)
@@ -597,7 +551,7 @@ def _build_period(spec: PotentialSpec, eps: float, zvals: list[float],
 
     parts = [np.array([0.0, T])]
     for j in range(len(zvals)):
-        npts = max(4, int(plateau_pts * widths[j] / T) + 2)
+        npts = max(4, int(PERIOD_PLATEAU_PTS * widths[j] / T) + 2)
         parts.append(np.linspace(bounds[j], bounds[j + 1], npts))
     for b, _, lo, hi in trans:
         parts.append(np.arange(b + lo - 2.0 * step, b + hi + 2.0 * step, step))
@@ -618,10 +572,9 @@ def _build_period(spec: PotentialSpec, eps: float, zvals: list[float],
 
 
 def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPlan,
-                            periods: int, layer_res: int, plateau_pts: int,
-                            interval: tuple[float, float] = (0.0, 1.0)) -> GridFunction:
-    a, b = interval
-    T = (b - a) / periods
+                            periods: int) -> GridFunction:
+    """``periods`` copies of the plan's pattern on [0, 1], each of zero mean."""
+    T = 1.0 / periods
     zvals = [z for z, _ in plan.segments]
     widths = np.array([w for _, w in plan.segments]) * T
     if zvals[0] != zvals[-1]:
@@ -638,8 +591,7 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
     jstar = int(np.argmax(jumps))
     nodes = vals = None
     for _ in range(6):
-        nodes, vals = _build_period(spec, eps, zvals, widths, rise,
-                                    layer_res, plateau_pts)
+        nodes, vals = _build_period(spec, eps, zvals, widths, rise)
         m = float(np.dot(np.diff(nodes), 0.5 * (vals[:-1] + vals[1:])))
         if abs(m) <= 1e-15 * T * max(abs(z1), z3):
             break
@@ -649,7 +601,7 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
         if widths[jstar] <= 0.0 or widths[jstar + 1] <= 0.0:
             raise ConstructionError("zero-mean correction exhausted a plateau")
 
-    return _assemble_pieces(a, b, T, [nodes] * periods, [vals] * periods, eps, meta={})
+    return _assemble_pieces(0.0, 1.0, T, [nodes] * periods, [vals] * periods, eps, meta={})
 
 
 def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPlan,
@@ -660,43 +612,34 @@ def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPla
 
 
 def build_h7_competitor(spec: PotentialSpec, eps: float, yhat: float,
-                        constants: LimitConstants | None = None,
-                        periods_override: int | None = None,
-                        layer_res: int = 96, plateau_pts: int = 129) -> GridFunction:
+                        constants: LimitConstants | None = None) -> GridFunction:
     """Periodic profile with gradient pattern z2|z3|z1 mirrored about mid-period.
 
     Realizes the volume fractions lambda2 = 1/(yhat*z31 + z21),
     lambda3 = yhat*lambda2; its energy approaches ``competitor_ideal_energy``
     as eps drops.
     """
-    return _build_competitor(spec, eps, "h7", yhat, constants,
-                             periods_override, layer_res, plateau_pts)
+    return _build_competitor(spec, eps, "h7", yhat, constants)
 
 
 def build_h8_competitor(spec: PotentialSpec, eps: float, yhat: float,
-                        constants: LimitConstants | None = None,
-                        periods_override: int | None = None,
-                        layer_res: int = 96, plateau_pts: int = 129) -> GridFunction:
+                        constants: LimitConstants | None = None) -> GridFunction:
     """Periodic profile with pattern z1|z2|z3|z1 (or z1|z3|z2|z1 above the
     branch threshold sqrt(z2*z21/(z3*z31))), offset so the primitive's sign
     change sits at the energy-optimal phase."""
-    return _build_competitor(spec, eps, "h8", yhat, constants,
-                             periods_override, layer_res, plateau_pts)
+    return _build_competitor(spec, eps, "h8", yhat, constants)
 
 
 def _build_competitor(spec: PotentialSpec, eps: float, kind: str, yhat: float,
-                      constants: LimitConstants | None,
-                      periods_override: int | None,
-                      layer_res: int, plateau_pts: int) -> GridFunction:
+                      constants: LimitConstants | None) -> GridFunction:
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
     c = constants if constants is not None else limit_constants(spec)
     plan = competitor_plan(spec, kind, yhat, c)
-    periods = periods_override if periods_override is not None else \
-        competitor_period_count(spec, eps, plan)
+    periods = competitor_period_count(spec, eps, plan)
     if periods < 2:
         raise ConstructionError("eps too large: fewer than 2 pattern periods fit")
-    gf = _build_periodic_pattern(spec, eps, plan, periods, layer_res, plateau_pts)
+    gf = _build_periodic_pattern(spec, eps, plan, periods)
     gf.meta.update({
         "kind": f"{kind}-competitor", "yhat": yhat, "periods": periods,
         "lambda1": plan.lam[0], "lambda2": plan.lam[1], "lambda3": plan.lam[2],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tripwell import GridFunction, discrete_derivatives, energy_Eeps, energy_gradient, energy_Ieps
+from tripwell import microstructure
 from tripwell.errors import GridError
 from tripwell.grids import integrate_slopes
 from tripwell.microstructure import build_two_well_sawtooth
@@ -102,12 +103,16 @@ def test_gradient_matches_finite_differences(ex1, seed, jitter):
         assert abs(g[j - 1] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def test_energy_refinement_convergence(ex1, c1):
+def test_energy_refinement_convergence(ex1, c1, monkeypatch):
     eps = 0.07
-    coarse = build_two_well_sawtooth(ex1, eps, constants=c1,
-                                     layer_res=48, plateau_pts=49)
-    fine = build_two_well_sawtooth(ex1, eps, constants=c1,
-                                   layer_res=96, plateau_pts=99)
+
+    def build(layer_res, plateau_pts):
+        monkeypatch.setattr(microstructure, "LAYER_RES", layer_res)
+        monkeypatch.setattr(microstructure, "TOOTH_PLATEAU_PTS", plateau_pts)
+        return build_two_well_sawtooth(ex1, eps, constants=c1)
+
+    coarse = build(48, 49)
+    fine = build(96, 99)
     e_coarse = energy_Ieps(coarse, eps, ex1).total
     e_fine = energy_Ieps(fine, eps, ex1).total
     assert abs(e_coarse - e_fine) / e_fine < 0.01

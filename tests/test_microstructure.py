@@ -169,9 +169,7 @@ def test_two_well_nodal_bound(ex1, two_well_ladder):
 
 
 def test_two_well_count_rules(ex1, c1):
-    n_any = two_well_count(ex1, 0.07, 1.0, c1, parity="any")
-    n_even = two_well_count(ex1, 0.07, 1.0, c1, parity="even")
-    assert n_any == 5 and n_even == 6
+    assert two_well_count(ex1, 0.07, 1.0, c1) == 5
     u = build_two_well_sawtooth(ex1, 0.07, constants=c1, counts_override=6)
     assert u.meta["N"] == 6
 
