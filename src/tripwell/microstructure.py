@@ -131,28 +131,22 @@ TOOTH_PLATEAU_PTS = 49    # coarse nodes across one tooth
 PERIOD_PLATEAU_PTS = 129  # coarse nodes across one competitor period
 
 
-def _tooth_grid(l: float, centers: list[tuple[float, float, float]],
-                eps: float) -> np.ndarray:
-    """Symmetric grid on [0, l]: coarse everywhere, fine near each transition.
+def _tooth_grid(l: float, lo: float, hi: float, eps: float) -> np.ndarray:
+    """Grid on [0, l] for a rising tooth whose transition spans [lo, hi].
 
-    ``centers`` holds (center, lo_extent, hi_extent) in absolute units.  The
-    grid is closed under r -> l - r so a reversed tooth reuses the same nodes.
+    TOOTH_PLATEAU_PTS coarse nodes cover the tooth; steps of eps^3/LAYER_RES
+    cover the transition window, widened by two steps and clipped to the
+    tooth.  A reversed tooth takes the mirrored nodes l - r.
     """
-    base = [np.linspace(0.0, l, TOOTH_PLATEAU_PTS)]
     step = eps**3 / LAYER_RES
-    for c, lo, hi in centers:
-        a = max(0.0, c + lo - 2.0 * step)
-        b = min(l, c + hi + 2.0 * step)
-        if b > a:
-            base.append(np.arange(a, b, step))
-            base.append([b])
-    pts = np.concatenate([np.asarray(p, dtype=float) for p in base])
-    pts = pts[(pts >= 0.0) & (pts <= l)]
-    full = np.unique(np.concatenate([pts, l - pts]))
-    keep = np.concatenate([[True], np.diff(full) > 1e-9 * step])
-    full = full[keep]
-    full[0], full[-1] = 0.0, l
-    return full
+    a = max(0.0, lo - 2.0 * step)
+    b = min(l, hi + 2.0 * step)
+    pts = np.unique(np.concatenate([
+        np.linspace(0.0, l, TOOTH_PLATEAU_PTS), np.arange(a, b, step), [b],
+    ]))
+    pts = pts[np.concatenate([[True], np.diff(pts) > 1e-9 * step])]
+    pts[0], pts[-1] = 0.0, l
+    return pts
 
 
 def _discrete_zero_shift(eval_w, rel: np.ndarray, bracket: tuple[float, float]):
@@ -182,17 +176,17 @@ def _discrete_zero_shift(eval_w, rel: np.ndarray, bracket: tuple[float, float]):
     return om, eval_w(rel - om)
 
 
-def _assemble_pieces(a: float, b: float, l: float, piece_nodes: list[np.ndarray],
-                     piece_values: list[np.ndarray], eps: float,
+def _assemble_pieces(a: float, b: float, l: float,
+                     pieces: list[tuple[np.ndarray, np.ndarray]], eps: float,
                      meta: dict) -> GridFunction:
-    """Concatenate pieces of width l from a to b; piece i has its nodes
-    (relative to its left end) in piece_nodes[i], and shared boundary nodes
+    """Concatenate pieces of width l from a to b; each piece is (nodes
+    relative to its left end, gradient values), and shared boundary nodes
     are dropped."""
-    nodes = [a + piece_nodes[0]]
-    vals = [piece_values[0]]
-    for i in range(1, len(piece_values)):
-        nodes.append(a + i * l + piece_nodes[i][1:])
-        vals.append(piece_values[i][1:])
+    nodes = [a + pieces[0][0]]
+    vals = [pieces[0][1]]
+    for i, (p_nodes, p_vals) in enumerate(pieces[1:], start=1):
+        nodes.append(a + i * l + p_nodes[1:])
+        vals.append(p_vals[1:])
     all_nodes = np.concatenate(nodes)
     all_nodes[0] = a
     all_nodes[-1] = b          # a + n*l can drift by one ulp
@@ -240,16 +234,16 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
     tab = _lower_branch(spec)
     om0 = l * z2 / (z2 - z1)
     ext_lo, ext_hi = tab.extent
-    rel = _tooth_grid(l, [(om0, eps**3 * (ext_lo - 4.0), eps**3 * (ext_hi + 4.0))], eps)
+    rel = _tooth_grid(l, om0 + eps**3 * (ext_lo - 4.0), om0 + eps**3 * (ext_hi + 4.0), eps)
 
     def eval_w(s):
         return tab.w_at_scaled(np.asarray(s) / eps**3)
 
     halfwidth = min(0.2 * l, om0, l - om0)
     om, w_up = _discrete_zero_shift(eval_w, rel, (om0 - halfwidth, om0 + halfwidth))
-    w_down = eval_w(l - om - rel)
-    pieces = [w_up if i % 2 == 0 else w_down for i in range(N)]
-    return _assemble_pieces(a, b, l, [rel] * N, pieces, eps, meta={
+    up, down = (rel, w_up), (l - rel[::-1], w_up[::-1])
+    teeth = [up if i % 2 == 0 else down for i in range(N)]
+    return _assemble_pieces(a, b, l, teeth, eps, meta={
         "kind": "two-well", "N": N, "omega_star": om,
         "l_N": l, "d_eps": l / eps, "d_star": c.d_star,
     })
@@ -336,21 +330,16 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
         raise ConstructionError("eps too large: transition does not fit inside a tooth")
 
     om0 = l * z3 / (z3 - z1)
-    rel = _tooth_grid(l, [(om0, rise.s_min - 4.0 * eps**3, rise.s_max + 4.0 * eps**3)], eps)
-
-    def eval_w(s):
-        return rise.w_at(np.asarray(s))
+    rel = _tooth_grid(l, om0 + rise.s_min - 4.0 * eps**3, om0 + rise.s_max + 4.0 * eps**3, eps)
 
     halfwidth = min(0.2 * l, om0 - max(0.0, -rise.s_min), l - om0 - max(0.0, rise.s_max))
     if halfwidth <= 0.0:
         raise ConstructionError("eps too large: no admissible zero-mean shift")
-    om, w_up = _discrete_zero_shift(eval_w, rel, (om0 - halfwidth, om0 + halfwidth))
-    w_down = eval_w(l - om - rel)
-
+    om, w_up = _discrete_zero_shift(rise.w_at, rel, (om0 - halfwidth, om0 + halfwidth))
+    up, down = (rel, w_up), (l - rel[::-1], w_up[::-1])
     block_nodes, block_vals, block_plateau = _matching_block(spec, eps, rise, l)
-
-    pieces = [block_vals] + [w_down if i % 2 == 1 else w_up for i in range(1, M)]
-    return _assemble_pieces(a, b, l, [block_nodes] + [rel] * (M - 1), pieces, eps, meta={
+    teeth = [(block_nodes, block_vals)] + [down if i % 2 == 1 else up for i in range(1, M)]
+    return _assemble_pieces(a, b, l, teeth, eps, meta={
         "kind": "three-well", "M": M, "omega_star": om,
         "l_M": l, "h_eps": l / eps, "h_star": c.h_star,
         "mu": rise.mu, "block_plateau": block_plateau,
@@ -601,7 +590,7 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
         if widths[jstar] <= 0.0 or widths[jstar + 1] <= 0.0:
             raise ConstructionError("zero-mean correction exhausted a plateau")
 
-    return _assemble_pieces(0.0, 1.0, T, [nodes] * periods, [vals] * periods, eps, meta={})
+    return _assemble_pieces(0.0, 1.0, T, [(nodes, vals)] * periods, eps, meta={})
 
 
 def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPlan,

@@ -168,6 +168,20 @@ def test_two_well_nodal_bound(ex1, two_well_ladder):
     assert np.max(np.abs(u.values)) <= ex1.wells[2] * u.meta["l_N"]
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.07, 0.05])
+def test_two_well_grid_one_window_per_tooth(two_well_ladder, eps):
+    u = two_well_ladder[eps]
+    fine = np.diff(u.nodes) <= eps**3 / 96.0 * (1.0 + 1e-9)
+    runs = int(fine[0]) + int(np.sum(fine[1:] & ~fine[:-1]))
+    assert runs == u.meta["N"]
+    # the second (falling) tooth carries the first tooth's nodes mirrored
+    l = u.meta["l_N"]
+    k = int(np.searchsorted(u.nodes, l * (1.0 + 1e-12), side="right"))
+    first = u.nodes[:k]
+    second = u.nodes[k - 1:2 * k - 1] - l
+    assert np.allclose(second, l - first[::-1], rtol=0.0, atol=1e-12)
+
+
 def test_two_well_count_rules(ex1, c1):
     assert two_well_count(ex1, 0.07, 1.0, c1) == 5
     u = build_two_well_sawtooth(ex1, 0.07, constants=c1, counts_override=6)
