@@ -184,6 +184,7 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
     layers = transition_layers(u, spec, eta)
     a_band = [L for L in layers if L.kind[0] == "A"]
     b_band = [L for L in layers if L.kind[0] == "B"]
+    x = u.nodes
     s = u.slopes()
     near_z2 = (np.abs(s - z2) <= eta).astype(float)
     near_z3 = (np.abs(s - z3) <= eta).astype(float)
@@ -196,10 +197,12 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
                                  beta=0.0, n_layers=0, dtype="open"))
             continue
         lo, hi = ap.span[1], partner.span[0]
-        # cell measure of the collars in (lo, hi), cells pro-rated
-        overlap = np.maximum(np.minimum(u.nodes[1:], hi) - np.maximum(u.nodes[:-1], lo), 0.0)
-        alpha = float(np.dot(overlap, near_z2))
-        beta = float(np.dot(overlap, near_z3))
+        # cell measure of the collars in (lo, hi), cells pro-rated; only the
+        # cells from the one holding lo to the one holding hi can overlap
+        j0, j1 = max(int(np.searchsorted(x, lo)) - 1, 0), int(np.searchsorted(x, hi))
+        overlap = np.maximum(np.minimum(x[j0 + 1:j1 + 1], hi) - np.maximum(x[j0:j1], lo), 0.0)
+        alpha = float(np.dot(overlap, near_z2[j0:j1]))
+        beta = float(np.dot(overlap, near_z3[j0:j1]))
         inner_b = [L for L in b_band if L.span[0] >= lo and L.span[1] <= hi]
         n_i = len(inner_b)
         u_lo = float(np.interp(lo, u.nodes, u.values))
