@@ -5,7 +5,6 @@ from tripwell import GridFunction, discrete_derivatives, energy_Eeps, energy_gra
 from tripwell import microstructure
 from tripwell.errors import GridError
 from tripwell.grids import integrate_slopes
-from tripwell.microstructure import build_two_well_sawtooth
 
 
 def random_smooth_profile(n, seed, amplitude=0.3, jitter=0.0):
@@ -109,7 +108,7 @@ def test_energy_refinement_convergence(ex1, c1, monkeypatch):
     def build(layer_res, plateau_pts):
         monkeypatch.setattr(microstructure, "LAYER_RES", layer_res)
         monkeypatch.setattr(microstructure, "TOOTH_PLATEAU_PTS", plateau_pts)
-        return build_two_well_sawtooth(ex1, eps, constants=c1)
+        return microstructure.build_two_well_sawtooth(ex1, eps, constants=c1)
 
     coarse = build(48, 49)
     fine = build(96, 99)
