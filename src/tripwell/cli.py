@@ -241,19 +241,19 @@ def _cmd_analyze(args, t0):
 
 
 def _cmd_paper_examples(args, t0):
-    summary = {}
+    summary, held = {}, {}
     for name, data in EXAMPLE_POTENTIALS.items():
         spec = PotentialSpec.from_dict(data)
         c = limit_constants(spec)
-        rep = check_hypotheses(spec)
+        rep = check_hypotheses(spec, constants=c)
+        held[name] = (spec, c, rep)
         summary[name] = {
             "potential": data,
             "constants": c.as_dict(),
             "hypotheses": rep.as_dict(),
         }
     # example 1: two-well energy ladder against the predicted limit
-    spec1 = PotentialSpec.from_dict(EXAMPLE_POTENTIALS["example-1"])
-    c1 = limit_constants(spec1)
+    spec1, c1, _ = held["example-1"]
     target = c1.A0 / c1.z21
     ladder = []
     for eps in (0.1, 0.07):
@@ -263,9 +263,7 @@ def _cmd_paper_examples(args, t0):
     summary["example-1"]["two_well_ladder"] = ladder
 
     # example 2: competitor energies against the two-well energy line
-    spec2 = PotentialSpec.from_dict(EXAMPLE_POTENTIALS["example-2"])
-    c2 = limit_constants(spec2)
-    rep2 = check_hypotheses(spec2)
+    spec2, c2, rep2 = held["example-2"]
     comps = {}
     for kind, verdict, builder in (("h7", rep2.h7, build_h7_competitor),
                                    ("h8", rep2.h8, build_h8_competitor)):

@@ -16,7 +16,7 @@ class GridFunction:
     """A piecewise-linear profile u on an interval, pinned to zero at both ends.
 
     Attributes:
-        nodes: strictly increasing abscissae (default domain [0, 1]).
+        nodes: finite, strictly increasing abscissae (default domain [0, 1]).
         values: nodal values of u; first and last must be exactly zero.
         eps: the regularization scale the profile was built for (0 = generic).
         meta: free-form construction metadata carried through JSON artifacts.
@@ -34,8 +34,8 @@ class GridFunction:
             raise GridError("nodes and values must be 1-d arrays of equal length")
         if len(self.nodes) < 3:
             raise GridError("a grid function needs at least 3 nodes")
-        if np.any(np.diff(self.nodes) <= 0.0):
-            raise GridError("nodes must be strictly increasing")
+        if not (np.all(np.isfinite(self.nodes)) and np.all(np.diff(self.nodes) > 0.0)):
+            raise GridError("nodes must be finite and strictly increasing")
         scale = float(np.max(np.abs(self.values))) or 1.0
         for k in (0, -1):
             if self.values[k] != 0.0:
@@ -74,17 +74,27 @@ class GridFunction:
 
     @staticmethod
     def from_dict(data: dict) -> "GridFunction":
-        return GridFunction(
-            nodes=np.asarray(data["nodes"], dtype=float),
-            values=np.asarray(data["values"], dtype=float),
-            eps=float(data.get("eps", 0.0)),
-            meta=dict(data.get("meta", {})),
-        )
+        if not isinstance(data, dict):
+            raise GridError("a profile must be a JSON object")
+        missing = [k for k in ("nodes", "values") if k not in data]
+        if missing:
+            raise GridError(f"profile lacks {' and '.join(missing)}")
+        meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise GridError("profile meta must be a JSON object")
+        try:
+            nodes = np.asarray(data["nodes"], dtype=float)
+            values = np.asarray(data["values"], dtype=float)
+            eps = float(data.get("eps", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise GridError(f"malformed profile: {exc}") from None
+        return GridFunction(nodes=nodes, values=values, eps=eps, meta=dict(meta))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
+            # json.dumps runs the C encoder; json.dump streams through the
+            # pure-Python one, and both write the same bytes
+            fh.write(json.dumps(self.to_dict()) + "\n")
 
     @staticmethod
     def load(path) -> "GridFunction":

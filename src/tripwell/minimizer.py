@@ -16,7 +16,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .analysis import transition_layers, volume_fractions
 from .constants import LimitConstants, check_hypotheses, limit_constants
@@ -88,6 +87,11 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     evaluated point is returned even when the line search stalls
     (``converged`` is False then).
     """
+    # loaded here, not at module level, so that commands without a descent
+    # do not pay for scipy; minimize is looked up on the module at call time,
+    # where perfbench's tracer patches it
+    from scipy import optimize
+
     nodes = init.nodes
     full = init.values.copy()
     history = [float(energy_Ieps(init, eps, spec).total)]

@@ -9,6 +9,7 @@ with the same well set are accepted as ``custom-polynomial``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -122,14 +123,39 @@ class PotentialSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "PotentialSpec":
+        if not isinstance(data, dict):
+            raise SpecificationError("a potential must be a JSON object")
+        if "wells" not in data:
+            raise SpecificationError("potential lacks wells")
+        wells = data["wells"]
+        coeffs = data.get("coeffs", ())
+        growth_p = data.get("growth_p", 0.0)
         coer = data.get("coercivity")
+        if not (_numbers(wells) and len(wells) == 3):
+            raise SpecificationError("potential wells must be a list of three numbers")
+        if not _numbers(coeffs):
+            raise SpecificationError("potential coeffs must be a list of numbers")
+        if not _is_number(growth_p):
+            raise SpecificationError("potential growth_p must be a number")
+        if coer and not (isinstance(coer, dict) and set(coer) == {"q", "eta0", "c0"}
+                         and all(_is_number(v) for v in coer.values())):
+            raise SpecificationError("potential coercivity must hold the numbers q, eta0 and c0")
         return PotentialSpec(
             kind=data.get("kind", TRIPLE_WELL),
-            wells=tuple(data["wells"]),
-            coeffs=tuple(data.get("coeffs", ())),
-            growth_p=float(data.get("growth_p", 0.0)),
+            wells=tuple(wells),
+            coeffs=tuple(coeffs),
+            growth_p=float(growth_p),
             coercivity=Coercivity(**coer) if coer else None,
         )
+
+
+def _is_number(v) -> bool:
+    """Whether ``v`` is a real number (a boolean is not)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _numbers(seq) -> bool:
+    return isinstance(seq, (list, tuple)) and all(_is_number(v) for v in seq)
 
 
 def load_potential(path) -> PotentialSpec:

@@ -166,6 +166,19 @@ def test_exit_codes(spec_files, tmp_path):
     r = run_cli("sweep", "--potential", p1, "--eps", "0.1", "--out", str(tmp_path / "s.csv"),
                 "--step-rule", "quasi-newton")
     assert r.returncode == 1                             # the flag is gone
+    # malformed input files: exit 2 with a JSON error, not a traceback
+    bad = tmp_path / "bad.json"
+    for doc in ({}, None, [1, 2], {"nodes": [0.0, 0.5, 1.0]},
+                {"nodes": [0.0, 0.5, 1.0], "values": [0.0, 0.1, 0.0], "meta": [1]}):
+        bad.write_text(json.dumps(doc))
+        r = run_cli("energy", "--profile", str(bad), "--potential", p1, "--eps", "0.1")
+        assert r.returncode == 2, doc
+        assert json.loads(r.stderr)["error"]["type"] == "GridError"
+    for doc in ({"kind": "polynomial-triple-well"}, []):
+        bad.write_text(json.dumps(doc))
+        r = run_cli("constants", "--potential", str(bad))
+        assert r.returncode == 2, doc
+        assert json.loads(r.stderr)["error"]["type"] == "SpecificationError"
 
 
 def test_non_finite_output_fails(spec_files, tmp_path):

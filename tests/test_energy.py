@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,17 @@ def test_duplicate_nodes_rejected():
         GridFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
 
 
+@pytest.mark.parametrize("doc", [
+    {"nodes": "abc", "values": [0.0, 0.1, 0.0]},
+    {"nodes": [0.0, None, 1.0], "values": [0.0, 0.1, 0.0]},
+    {"nodes": [0.0, 0.5, 1.0], "values": [0.0, 0.1, 0.0], "eps": None},
+    {"nodes": [0.0, 0.5, 1.0], "values": {"a": 1}},
+])
+def test_from_dict_rejects_malformed_profiles(doc):
+    with pytest.raises(GridError):
+        GridFunction.from_dict(doc)
+
+
 def test_integrate_slopes_pins_boundaries():
     nodes = np.linspace(0.0, 1.0, 1001)
     w = np.sin(2 * np.pi * nodes)
@@ -148,3 +161,9 @@ def test_gridfunction_json_roundtrip(tmp_path, two_well_ladder):
     assert np.array_equal(u.values, v.values)
     assert v.eps == u.eps
     assert v.meta["kind"] == "two-well"
+    # the on-disk format is that of the streaming encoder, plus a newline
+    ref = tmp_path / "reference.json"
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump(u.to_dict(), fh)
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()

@@ -25,6 +25,24 @@ def test_well_ordering_enforced():
         PotentialSpec(wells=(-1.0, 1.0, 0.5))
 
 
+@pytest.mark.parametrize("doc", [
+    {"wells": [-1.0, 1.0]},
+    {"wells": [-1.0, None, 1.0]},
+    {"wells": [-1.0, 0.5, True]},
+    {"wells": [-1.0, 0.5, 1.0], "coeffs": "abc"},
+    {"wells": [-1.0, 0.5, 1.0], "growth_p": "6"},
+    {"wells": [-1.0, 0.5, 1.0], "coercivity": {"q": 2.0}},
+])
+def test_from_dict_rejects_malformed_potentials(doc):
+    with pytest.raises(SpecificationError):
+        PotentialSpec.from_dict(doc)
+
+
+def test_from_dict_roundtrip(ex1):
+    spec = PotentialSpec(wells=ex1.wells, coercivity=estimate_coercivity(ex1, grid_n=1000))
+    assert PotentialSpec.from_dict(spec.to_dict()) == spec
+
+
 def test_custom_polynomial_matches_family(ex1):
     coeffs = npp.polyfromroots([-1.0, -1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0, 1.0])
     spec = PotentialSpec(kind="custom-polynomial", wells=ex1.wells,
