@@ -109,9 +109,9 @@ def volume_fractions(u: GridFunction, spec: PotentialSpec, eta: float) -> Volume
         raise ParameterError("eta must lie in (0, (z3-z1)/2)")
     s = u.slopes()
     h = u.cell_widths()
-    lam = tuple(float(np.dot(h, (np.abs(s - z) <= eta).astype(float)))
-                for z in spec.wells)
-    far = (np.abs(s - z1) > eta) & (np.abs(s - z2) > eta) & (np.abs(s - z3) > eta)
+    dist = [np.abs(s - z) for z in spec.wells]
+    lam = tuple(float(np.dot(h, (d <= eta).astype(float))) for d in dist)
+    far = (dist[0] > eta) & (dist[1] > eta) & (dist[2] > eta)
     sigma = float(np.dot(h, far.astype(float)))
     return VolumeFractions(eta=eta, lam=lam, sigma_measure=sigma,
                            overlap=bool(eta >= eta0_bound(spec)))
@@ -165,7 +165,8 @@ def transition_layers(u: GridFunction, spec: PotentialSpec, eta: float) -> list[
 
 
 def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
-                thresholds: tuple[float, float] = (0.1, 10.0)) -> list[DInterval]:
+                thresholds: tuple[float, float] = (0.1, 10.0),
+                layers: Optional[list[TransitionLayer]] = None) -> list[DInterval]:
     """Pair A+/A- layers into excursion cores and classify them.
 
     An A+ layer pairs with the next A-band layer when that one is an A-;
@@ -175,19 +176,19 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
     "II" when it changes sign with 0 or >= 4 inner B-layers; "III"/"IV" when
     exactly 2 B-layers, split by whether u vanishes inside the enclosed
     upper-well plateau.  The R thresholds are configuration, not constants
-    of the analysis, and are echoed by the CLI.
+    of the analysis, and are echoed by the CLI.  ``layers`` are those of
+    ``transition_layers(u, spec, eta)`` when the caller already has them.
     """
     if u.eps <= 0.0:
         raise ParameterError("interval classification needs the profile's eps")
     _, z2, z3 = spec.wells
     r_lo, r_hi = thresholds
-    layers = transition_layers(u, spec, eta)
+    if layers is None:
+        layers = transition_layers(u, spec, eta)
     a_band = [L for L in layers if L.kind[0] == "A"]
     b_band = [L for L in layers if L.kind[0] == "B"]
     x = u.nodes
     s = u.slopes()
-    near_z2 = (np.abs(s - z2) <= eta).astype(float)
-    near_z3 = (np.abs(s - z3) <= eta).astype(float)
     out: list[DInterval] = []
     for ap, partner in zip(a_band, a_band[1:] + [None]):
         if ap.kind != "A+":
@@ -201,12 +202,11 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
         # cells from the one holding lo to the one holding hi can overlap
         j0, j1 = max(int(np.searchsorted(x, lo)) - 1, 0), int(np.searchsorted(x, hi))
         overlap = np.maximum(np.minimum(x[j0 + 1:j1 + 1], hi) - np.maximum(x[j0:j1], lo), 0.0)
-        alpha = float(np.dot(overlap, near_z2[j0:j1]))
-        beta = float(np.dot(overlap, near_z3[j0:j1]))
+        alpha = float(np.dot(overlap, (np.abs(s[j0:j1] - z2) <= eta).astype(float)))
+        beta = float(np.dot(overlap, (np.abs(s[j0:j1] - z3) <= eta).astype(float)))
         inner_b = [L for L in b_band if L.span[0] >= lo and L.span[1] <= hi]
         n_i = len(inner_b)
-        u_lo = float(np.interp(lo, u.nodes, u.values))
-        u_hi = float(np.interp(hi, u.nodes, u.values))
+        u_lo, u_hi = _value_at(u, lo), _value_at(u, hi)
         e_span = None
         if n_i == 2 and inner_b[0].kind == "B+" and inner_b[1].kind == "B-":
             e_span = (inner_b[0].span[1], inner_b[1].span[0])
@@ -225,13 +225,17 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
     return out
 
 
+def _value_at(u: GridFunction, x: float) -> float:
+    """u(x) as ``np.interp`` gives it, from the nodes around x alone: on the
+    whole read-only arrays np.interp would first copy them."""
+    j = int(np.searchsorted(u.nodes, x))
+    lo = max(j - 2, 0)
+    return float(np.interp(x, u.nodes[lo:j + 2], u.values[lo:j + 2]))
+
+
 def _has_zero(u: GridFunction, lo: float, hi: float) -> bool:
-    inner = (u.nodes > lo) & (u.nodes < hi)
-    vals = np.concatenate([
-        [np.interp(lo, u.nodes, u.values)],
-        u.values[inner],
-        [np.interp(hi, u.nodes, u.values)],
-    ])
+    inner = u.values[np.searchsorted(u.nodes, lo, side="right"):np.searchsorted(u.nodes, hi)]
+    vals = np.concatenate([[_value_at(u, lo)], inner, [_value_at(u, hi)]])
     return bool(vals.min() <= 0.0 <= vals.max())
 
 
@@ -316,12 +320,16 @@ def rearrangement_envelope(nodes, values, window: tuple[float, float] | None = N
 def measure_report(u: GridFunction, spec: PotentialSpec, eta: float,
                    bins: int = 400,
                    thresholds: tuple[float, float] = (0.1, 10.0)) -> MeasureReport:
-    """Assemble the full diagnostic report for a profile."""
+    """Assemble the full diagnostic report for a profile.
+
+    The layers are scanned once and shared with the d-interval pairing; the
+    slopes and cell widths are the profile's own cached arrays.
+    """
     vf = volume_fractions(u, spec, eta)
     layers = transition_layers(u, spec, eta)
     counts = {k: sum(1 for L in layers if L.kind == k)
               for k in ("A+", "A-", "B+", "B-")}
-    divs = tuple(d_intervals(u, spec, eta, thresholds)) if u.eps > 0.0 else ()
+    divs = tuple(d_intervals(u, spec, eta, thresholds, layers)) if u.eps > 0.0 else ()
     hist = empirical_young_measure(u, spec, bins)
     return MeasureReport(eta=eta, lam=vf.lam, sigma_measure=vf.sigma_measure,
                          layer_counts=counts, d_intervals=divs, histogram=hist)

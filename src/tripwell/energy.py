@@ -11,13 +11,14 @@ pinned), and midpoint on cells for W(u_x), whose argument is the piecewise
 constant cell slope.  The gradient is the exact derivative of this discrete
 functional with respect to interior nodal values.
 
-One kernel, ``_kernel``, does the grid work on raw (nodes, values) arrays: one
-pass forms the cell widths, u_x, u_xx, the interior trapezoid weights and the
-3-point stencil, and returns the three raw energy parts and the exact
-gradient, each only when asked: ``energy_gradient`` skips the value
-integrals, the energies skip the gradient, and the descent objective takes
-both from one pass.  The front-ends only validate, scale and package its
-output.
+One kernel, ``_kernel``, does the work that depends on the values: one pass
+forms u_xx and returns the three raw energy parts and the exact gradient,
+each only when asked: ``energy_gradient`` skips the value integrals, the
+energies skip the gradient, and the descent objective takes both from one
+pass.  What depends on the nodes alone (cell widths, h_{j-1} + h_j, the
+interior trapezoid weights) comes from the ``Grid``, computed once and
+shared by every pass on it; a profile also keeps its slopes u_x.  The
+front-ends only validate, scale and package the kernel's output.
 
 Any density object exposing W(s)/dW(s) is accepted, so decoupled convexity
 checks can swap in a plain quadratic.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .grids import GridFunction
+from .grids import Grid, GridFunction
 
 I_EPS = "I_eps"
 E_EPS = "E_eps"
@@ -61,73 +62,71 @@ def discrete_derivatives(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     u_xx uses the 3-point second difference on a nonuniform grid, which is
     exact for quadratics.
     """
-    _, ux, uxx = _nodal_derivatives(u.nodes, u.values)
-    return ux, uxx
+    ux = u.slopes()
+    return ux, _second_difference(u.grid, ux)
 
 
-def _nodal_derivatives(x: np.ndarray, v: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cell widths, u_x on cells, u_xx at interior nodes) of values v at x."""
-    if len(x) < 3:
-        raise GridError("need at least 3 nodes for second differences")
-    h = np.diff(x)
-    if np.any(h <= 0.0):
-        raise GridError("duplicate nodes")
-    ux = np.diff(v) / h
-    return h, ux, 2.0 * (ux[1:] - ux[:-1]) / (h[:-1] + h[1:])
+def _second_difference(grid: Grid, ux: np.ndarray) -> np.ndarray:
+    """u_xx at the interior nodes from the cell slopes ux: 2*(jump of ux)/(h_{j-1}+h_j)."""
+    uxx = ux[1:] - ux[:-1]
+    uxx *= 2.0
+    uxx /= grid.width_pairs
+    return uxx
 
 
-def _interior_trapz_weights(nodes: np.ndarray) -> np.ndarray:
-    """Trapezoid weights of the interior nodes against their own abscissae."""
-    x = nodes[1:-1]
-    if len(x) < 2:
-        return np.zeros(len(x))
-    w = np.empty(len(x))
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    if len(x) > 2:
-        w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    return w
-
-
-def _stencil(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stencil(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients (a, b, c) with u_xx_j = a*u_{j-1} + b*u_j + c*u_{j+1}."""
-    hl, hr = h[:-1], h[1:]
-    a = 2.0 / (hl * (hl + hr))
-    c = 2.0 / (hr * (hl + hr))
-    return a, -(a + c), c
+    h, hsum = grid.widths, grid.width_pairs
+    a = h[:-1] * hsum
+    c = h[1:] * hsum
+    np.divide(2.0, a, out=a)                   # 2 / (h[:-1] * hsum)
+    np.divide(2.0, c, out=c)                   # 2 / (h[1:] * hsum)
+    b = a + c
+    return a, np.negative(b, out=b), c
 
 
-def _kernel(x: np.ndarray, v: np.ndarray, eps: float, density,
-            value: bool = True, grad: bool = False):
-    """One pass over values v at nodes x: (h, u_x, raw parts, E_eps gradient).
+def _kernel(grid: Grid, v: np.ndarray, ux: np.ndarray, eps: float, density,
+            value: bool = True, grad: bool = False, stencil=None):
+    """One pass over values v with cell slopes ux: (raw parts, E_eps gradient).
 
     The raw parts (None unless ``value``) are the unscaled integrals of
     u_xx^2, W(u_x) and u^2; the gradient (interior nodes, None unless
-    ``grad``) is the E_eps one, so eps enters only there.  No boundary or eps
-    validation happens here.
+    ``grad``) is the E_eps one, so eps enters only there.  ``stencil`` is
+    ``_stencil(grid)`` when the caller keeps it across passes.  No boundary
+    or eps validation happens here.
     """
-    h, ux, uxx = _nodal_derivatives(x, v)
-    w_int = _interior_trapz_weights(x)
+    h, w_int = grid.widths, grid.interior_weights
+    uxx = _second_difference(grid, ux)
     raw = g = None
+    # the in-place steps below do the arithmetic of the plain expressions in
+    # their comments, in the same order, without a fresh grid-sized
+    # temporary per operation
     if value:
         u2 = v * v
+        u2_cells = u2[:-1] + u2[1:]
+        u2_cells *= 0.5                        # 0.5 * (u2[:-1] + u2[1:])
         raw = (float(np.dot(w_int, uxx * uxx)), float(np.dot(h, density.W(ux))),
-               float(np.dot(h, 0.5 * (u2[:-1] + u2[1:]))))
+               float(np.dot(h, u2_cells)))
     if grad:
         # interface term: chain rule through the stencil; the slice adds keep
         # the per-node order (a, then b, then c) of a scatter-add
-        a, b, c = _stencil(h)
-        t = 2.0 * w_int * uxx
-        g_if = np.zeros(len(x))
-        g_if[:-2] += t * a
-        g_if[1:-1] += t * b
-        g_if[2:] += t * c
+        a, b, c = stencil if stencil is not None else _stencil(grid)
+        t = 2.0 * w_int
+        t *= uxx                               # 2 * w_int * uxx
+        g_if = np.zeros(len(v))
+        tmp = t * a
+        g_if[:-2] += tmp
+        g_if[1:-1] += np.multiply(t, b, out=tmp)
+        g_if[2:] += np.multiply(t, c, out=tmp)
         # W term: cells j-1 and j both see u_j through their slopes
         dW = np.asarray(density.dW(ux))
-        # u^2 term under the nodal trapezoid rule
-        g = eps**6 * g_if[1:-1] + (dW[:-1] - dW[1:]) + v[1:-1] * (h[:-1] + h[1:])
-    return h, ux, raw, g
+        # u^2 term under the nodal trapezoid rule; together
+        # g = eps^6 * g_if[1:-1] + (dW[:-1] - dW[1:]) + v[1:-1] * (h[:-1] + h[1:])
+        g = g_if[1:-1]
+        g *= eps**6
+        g += np.subtract(dW[:-1], dW[1:], out=tmp)
+        g += np.multiply(v[1:-1], grid.width_pairs, out=tmp)
+    return raw, g
 
 
 def _scale_parts(raw: tuple[float, float, float], eps: float, scaling: str
@@ -153,13 +152,23 @@ def _scale_gradient(g: np.ndarray, eps: float, scaling: str) -> np.ndarray:
     return g
 
 
-def _ieps_value_and_gradient(x: np.ndarray, v: np.ndarray, eps: float, density
-                             ) -> tuple[float, np.ndarray]:
-    """The descent objective: I_eps total and gradient from one kernel pass,
-    bit-identical to ``energy_Ieps(...).total`` and ``energy_gradient``."""
-    _, _, raw, g = _kernel(x, v, eps, density, grad=True)
-    parts = _scale_parts(raw, eps, I_EPS)
-    return float(parts[0] + parts[1] + parts[2]), _scale_gradient(g, eps, I_EPS)
+def _ieps_objective(grid: Grid, eps: float, density):
+    """The descent objective on ``grid``: nodal values -> (I_eps, gradient).
+
+    One kernel pass per call, bit-identical to ``energy_Ieps(...).total`` and
+    ``energy_gradient``; the grid's geometry and stencil are formed once,
+    here, so a call does only the work that depends on the values.
+    """
+    stencil = _stencil(grid)
+    h = grid.widths
+
+    def fg(v: np.ndarray) -> tuple[float, np.ndarray]:
+        raw, g = _kernel(grid, v, np.diff(v) / h, eps, density, grad=True,
+                         stencil=stencil)
+        parts = _scale_parts(raw, eps, I_EPS)
+        return float(parts[0] + parts[1] + parts[2]), _scale_gradient(g, eps, I_EPS)
+
+    return fg
 
 
 def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
@@ -175,7 +184,8 @@ def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
     scale = (wells[2] - wells[0]) if wells is not None else float(np.max(np.abs(ux)))
     if scale <= 0.0:
         return False
-    jump = np.abs(np.diff(ux))
+    jump = np.diff(ux)
+    np.abs(jump, out=jump)
     wide = np.maximum(h[:-1], h[1:]) > eps**3
     return bool(np.any((jump > 0.05 * scale) & wide))
 
@@ -183,13 +193,14 @@ def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
 def energy_breakdown(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> EnergyBreakdown:
     if eps <= 0.0:
         raise GridError("eps must be positive")
-    h, ux, raw, _ = _kernel(u.nodes, u.values, eps, density)
+    ux = u.slopes()
+    raw, _ = _kernel(u.grid, u.values, ux, eps, density)
     parts = _scale_parts(raw, eps, scaling)
     return EnergyBreakdown(
         total=parts[0] + parts[1] + parts[2],
         interface=parts[0], bulk_W=parts[1], bulk_u2=parts[2],
         scaling=scaling,
-        under_resolved=_under_resolved(h, ux, eps, density),
+        under_resolved=_under_resolved(u.grid.widths, ux, eps, density),
     )
 
 
@@ -207,7 +218,7 @@ def energy_gradient(u: GridFunction, eps: float, density, scaling: str = I_EPS) 
     """d(energy)/d(u_j) at interior nodes (boundary nodes are pinned)."""
     if eps <= 0.0:
         raise GridError("eps must be positive")
-    _, _, _, g = _kernel(u.nodes, u.values, eps, density, value=False, grad=True)
+    _, g = _kernel(u.grid, u.values, u.slopes(), eps, density, value=False, grad=True)
     return _scale_gradient(g, eps, scaling)
 
 
@@ -226,6 +237,8 @@ def interface_plus_W(u: GridFunction, eps: float, density,
     if i1 - i0 < 2:
         raise GridError("subrange must contain at least 3 nodes")
     # operate on raw slices: boundary-zero validation does not apply here
-    _, _, raw, _ = _kernel(nodes[i0:i1 + 1], u.values[i0:i1 + 1], eps, density)
+    grid = Grid(nodes[i0:i1 + 1])
+    v = u.values[i0:i1 + 1]
+    raw, _ = _kernel(grid, v, np.diff(v) / grid.widths, eps, density)
     interface, bulk_W, _ = _scale_parts(raw, eps, I_EPS)
     return interface + bulk_W

@@ -129,6 +129,7 @@ def solve_transition_ode(spec: PotentialSpec, eps: float, branch: str,
 LAYER_RES = 96            # grid steps per eps^3 across a transition layer
 TOOTH_PLATEAU_PTS = 49    # coarse nodes across one tooth
 PERIOD_PLATEAU_PTS = 129  # coarse nodes across one competitor period
+TOOTH_MARGIN = 4.0        # eps^3 units of window beyond a tooth's transition
 
 
 def _tooth_grid(l: float, lo: float, hi: float, eps: float) -> np.ndarray:
@@ -147,6 +148,24 @@ def _tooth_grid(l: float, lo: float, hi: float, eps: float) -> np.ndarray:
     pts = pts[np.concatenate([[True], np.diff(pts) > 1e-9 * step])]
     pts[0], pts[-1] = 0.0, l
     return pts
+
+
+def _zero_mean_tooth(eval_w, l: float, lo: float, hi: float, om0: float,
+                     halfwidth: float, eps: float):
+    """Grid, zero-mean shift and gradient of a rising tooth of width l.
+
+    The transition window [lo, hi] is centred on the unshifted position om0
+    with TOOTH_MARGIN*eps^3 to spare on each side.  When the shift the
+    bisection finds moves the transition further than that, the grid is
+    rebuilt around the shift and the bisection runs again on it.
+    """
+    bracket = (om0 - halfwidth, om0 + halfwidth)
+    rel = _tooth_grid(l, lo, hi, eps)
+    om, w = _discrete_zero_shift(eval_w, rel, bracket)
+    if abs(om - om0) > TOOTH_MARGIN * eps**3:
+        rel = _tooth_grid(l, lo + (om - om0), hi + (om - om0), eps)
+        om, w = _discrete_zero_shift(eval_w, rel, bracket)
+    return rel, om, w
 
 
 def _discrete_zero_shift(eval_w, rel: np.ndarray, bracket: tuple[float, float]):
@@ -234,13 +253,13 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
     tab = _lower_branch(spec)
     om0 = l * z2 / (z2 - z1)
     ext_lo, ext_hi = tab.extent
-    rel = _tooth_grid(l, om0 + eps**3 * (ext_lo - 4.0), om0 + eps**3 * (ext_hi + 4.0), eps)
 
     def eval_w(s):
         return tab.w_at_scaled(np.asarray(s) / eps**3)
 
-    halfwidth = min(0.2 * l, om0, l - om0)
-    om, w_up = _discrete_zero_shift(eval_w, rel, (om0 - halfwidth, om0 + halfwidth))
+    rel, om, w_up = _zero_mean_tooth(
+        eval_w, l, om0 + eps**3 * (ext_lo - TOOTH_MARGIN),
+        om0 + eps**3 * (ext_hi + TOOTH_MARGIN), om0, min(0.2 * l, om0, l - om0), eps)
     up, down = (rel, w_up), (l - rel[::-1], w_up[::-1])
     teeth = [up if i % 2 == 0 else down for i in range(N)]
     return _assemble_pieces(a, b, l, teeth, eps, meta={
@@ -281,14 +300,20 @@ class ThreeWellRise:
         self.kinks = (self.s0, self.s_bridge_end)
 
     def w_at(self, s) -> np.ndarray:
+        """The rise at positions s: lower branch up to s0, the bridge up to
+        s_bridge_end, the upper branch beyond; each branch is evaluated on
+        its own points only."""
         s = np.asarray(s, dtype=float)
         eps3 = self.eps**3
         z2 = self.spec.wells[1]
-        low = self.b1.w_at_scaled(s / eps3)
-        mid = (z2 - self.mu) + (s - self.s0) / eps3
-        high = self.b2.w_at_scaled((s - self.s_bridge_end) / eps3 + self._x2_start)
-        return np.where(s <= self.s0, low,
-                        np.where(s <= self.s_bridge_end, mid, high))
+        low = s <= self.s0
+        high = ~(s <= self.s_bridge_end)
+        mid = ~(low | high)
+        out = np.empty_like(s)
+        out[low] = self.b1.w_at_scaled(s[low] / eps3)
+        out[mid] = (z2 - self.mu) + (s[mid] - self.s0) / eps3
+        out[high] = self.b2.w_at_scaled((s[high] - self.s_bridge_end) / eps3 + self._x2_start)
+        return out
 
 
 def three_well_count(spec: PotentialSpec, eps: float, length: float,
@@ -330,12 +355,12 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
         raise ConstructionError("eps too large: transition does not fit inside a tooth")
 
     om0 = l * z3 / (z3 - z1)
-    rel = _tooth_grid(l, om0 + rise.s_min - 4.0 * eps**3, om0 + rise.s_max + 4.0 * eps**3, eps)
-
     halfwidth = min(0.2 * l, om0 - max(0.0, -rise.s_min), l - om0 - max(0.0, rise.s_max))
     if halfwidth <= 0.0:
         raise ConstructionError("eps too large: no admissible zero-mean shift")
-    om, w_up = _discrete_zero_shift(rise.w_at, rel, (om0 - halfwidth, om0 + halfwidth))
+    rel, om, w_up = _zero_mean_tooth(
+        rise.w_at, l, om0 + rise.s_min - TOOTH_MARGIN * eps**3,
+        om0 + rise.s_max + TOOTH_MARGIN * eps**3, om0, halfwidth, eps)
     up, down = (rel, w_up), (l - rel[::-1], w_up[::-1])
     block_nodes, block_vals, block_plateau = _matching_block(spec, eps, rise, l)
     teeth = [(block_nodes, block_vals)] + [down if i % 2 == 1 else up for i in range(1, M)]

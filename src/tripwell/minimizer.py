@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import transition_layers, volume_fractions
 from .constants import LimitConstants, check_hypotheses, limit_constants
-from .energy import _ieps_value_and_gradient, energy_gradient, energy_Ieps
+from .energy import _ieps_objective, energy_gradient, energy_Ieps
 from .errors import ConstructionError, ParameterError, TripwellError
 from .grids import GridFunction
 from .microstructure import (
@@ -81,9 +81,10 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     """Descend the discrete rescaled energy from ``init`` over interior values.
 
     L-BFGS-B with the exact gradient; each objective evaluation is one pass
-    of the energy kernel.  ``history`` holds the energy of ``init`` and then
-    the energy at each accepted iterate (``iterations + 1`` entries,
-    nonincreasing); ``n_fev`` counts the objective evaluations.  The best
+    of the energy kernel over the geometry of ``init``'s grid.  ``history``
+    holds the energy of ``init`` and then the energy at each accepted iterate
+    (``iterations + 1`` entries, nonincreasing); ``n_fev`` counts the
+    objective evaluations.  The best
     evaluated point is returned even when the line search stalls
     (``converged`` is False then).
     """
@@ -92,9 +93,9 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     # where perfbench's tracer patches it
     from scipy import optimize
 
-    nodes = init.nodes
     full = init.values.copy()
     history = [float(energy_Ieps(init, eps, spec).total)]
+    objective = _ieps_objective(init.grid, eps, spec)
 
     best = {"f": history[0], "x": full[1:-1].copy()}
     n_fev = 0
@@ -103,7 +104,7 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
         nonlocal n_fev
         n_fev += 1
         full[1:-1] = x
-        f, g = _ieps_value_and_gradient(nodes, full, eps, spec)
+        f, g = objective(full)
         if f < best["f"]:
             best["f"] = f
             best["x"] = x.copy()
@@ -120,7 +121,7 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     full[1:-1] = best["x"]
     full[0] = 0.0
     full[-1] = 0.0
-    u_best = GridFunction(nodes.copy(), full.copy(), eps=eps, meta=dict(init.meta))
+    u_best = GridFunction(init.grid, full, eps=eps, meta=dict(init.meta))
     g_final = energy_gradient(u_best, eps, spec)
     converged = bool(res.status != 2 and np.max(np.abs(g_final)) <= opts.grad_tol)
     return MinimizeResult(u=u_best, value=best["f"], converged=converged,

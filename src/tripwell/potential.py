@@ -8,6 +8,7 @@ with the same well set are accepted as ``custom-polynomial``.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -95,8 +96,9 @@ class PotentialSpec:
         nz = np.nonzero(np.abs(c) > 1e-14 * np.max(np.abs(c)))[0]
         return int(nz[-1]) if nz.size else 0
 
-    @property
+    @functools.cached_property
     def dcoeffs(self) -> tuple[float, ...]:
+        """Monomial coefficients of dW/ds, computed once per spec."""
         return tuple(float(c) for c in npp.polyder(self.coeffs))
 
     def W(self, s):
@@ -176,16 +178,32 @@ def eval_W(spec: PotentialSpec, s):
     s = np.asarray(s, dtype=float)
     if spec.kind == TRIPLE_WELL:
         z1, z2, z3 = spec.wells
-        prod = (s - z1) * (s - z2) * (s - z3)
-        return prod * prod
+        # ((s - z1) * (s - z2) * (s - z3))**2, in place on one array
+        prod = s - z1
+        prod *= s - z2
+        prod *= s - z3
+        prod *= prod
+        return prod
     return npp.polyval(s, spec.coeffs)
 
 
 def eval_dW(spec: PotentialSpec, s):
-    """Evaluate dW/ds at ``s``."""
+    """Evaluate dW/ds at ``s``.
+
+    Horner's rule with the operations of ``npp.polyval`` (``c[-1] + s*0``,
+    then ``c[k] + out*s``), in its order and in place on one array, so the
+    result is the same to the bit.
+    """
     if len(spec.coeffs) < 3:
         raise SpecificationError("malformed coefficient list")
-    return npp.polyval(np.asarray(s, dtype=float), spec.dcoeffs)
+    s = np.asarray(s, dtype=float)
+    c = spec.dcoeffs
+    out = s * 0
+    out += c[-1]
+    for ck in c[-2::-1]:
+        out *= s
+        out += ck
+    return out
 
 
 def sqrt_W(spec: PotentialSpec, s):

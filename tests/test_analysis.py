@@ -336,3 +336,21 @@ def test_measure_report_assembly(ex1, two_well_ladder):
     assert rep.layer_counts["A+"] == len([d for d in rep.d_intervals])
     assert rep.histogram.masses.sum() == pytest.approx(1.0, abs=1e-9)
     assert sum(rep.lam) + rep.sigma_measure == pytest.approx(1.0, abs=1e-9)
+
+
+def test_measure_report_scans_each_band_once(ex1, two_well_ladder, monkeypatch):
+    from tripwell import analysis
+
+    calls = []
+    band_layers = analysis._band_layers
+
+    def counted(*args, **kwargs):
+        calls.append(args[-2])
+        return band_layers(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_band_layers", counted)
+    u = two_well_ladder[0.07]
+    rep = measure_report(u, ex1, 0.1)
+    assert calls == ["A+", "B+"]
+    monkeypatch.setattr(analysis, "_band_layers", band_layers)
+    assert rep.d_intervals == tuple(d_intervals(u, ex1, 0.1))

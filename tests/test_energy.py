@@ -167,3 +167,45 @@ def test_gridfunction_json_roundtrip(tmp_path, two_well_ladder):
         json.dump(u.to_dict(), fh)
         fh.write("\n")
     assert path.read_bytes() == ref.read_bytes()
+
+
+def plain_kernel(x, v, eps, spec):
+    """The E_eps parts and gradient with one temporary per operation: the
+    reference the in-place kernel must match bit for bit."""
+    z1, z2, z3 = spec.wells
+    h = np.diff(x)
+    ux = np.diff(v) / h
+    uxx = 2.0 * (ux[1:] - ux[:-1]) / (h[:-1] + h[1:])
+    xi = x[1:-1]
+    w = np.concatenate([[0.5 * (xi[1] - xi[0])], 0.5 * (xi[2:] - xi[:-2]),
+                        [0.5 * (xi[-1] - xi[-2])]])
+    prod = (ux - z1) * (ux - z2) * (ux - z3)
+    u2 = v * v
+    parts = (eps**6 * float(np.dot(w, uxx * uxx)), float(np.dot(h, prod * prod)),
+             float(np.dot(h, 0.5 * (u2[:-1] + u2[1:]))))
+    a = 2.0 / (h[:-1] * (h[:-1] + h[1:]))
+    c = 2.0 / (h[1:] * (h[:-1] + h[1:]))
+    b = -(a + c)
+    t = 2.0 * w * uxx
+    g_if = np.zeros(len(x))
+    g_if[:-2] += t * a
+    g_if[1:-1] += t * b
+    g_if[2:] += t * c
+    dW = np.polynomial.polynomial.polyval(ux, np.polynomial.polynomial.polyder(spec.coeffs))
+    g = eps**6 * g_if[1:-1] + (dW[:-1] - dW[1:]) + v[1:-1] * (h[:-1] + h[1:])
+    return parts, g
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_matches_plain_expressions_bit_for_bit(ex1, seed):
+    from tripwell.energy import _ieps_objective
+
+    eps = 0.2
+    u = random_smooth_profile(501, seed, jitter=0.3)
+    parts, g = plain_kernel(np.array(u.nodes), np.array(u.values), eps, ex1)
+    br = energy_Eeps(u, eps, ex1)
+    assert (br.interface, br.bulk_W, br.bulk_u2) == parts
+    assert energy_gradient(u, eps, ex1, "E_eps").tobytes() == g.tobytes()
+    f, gi = _ieps_objective(u.grid, eps, ex1)(u.values.copy())
+    assert f == energy_Ieps(u, eps, ex1).total
+    assert gi.tobytes() == energy_gradient(u, eps, ex1).tobytes()

@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from tripwell import GridFunction
+from tripwell.errors import GridError
+from tripwell.grids import Grid
+
+
+def sample_profile(n=41, seed=0):
+    rng = np.random.default_rng(seed)
+    x = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)]))
+    v = np.sin(np.pi * x) * rng.normal(size=n)
+    v[0] = v[-1] = 0.0
+    return x, v
+
+
+def test_gridfunction_leaves_the_callers_arrays_alone():
+    x, v = sample_profile()
+    v[0] = 1e-14
+    x_before, v_before = x.copy(), v.copy()
+    u = GridFunction(x, v)
+    assert u.values[0] == 0.0
+    assert np.array_equal(v, v_before) and v[0] == 1e-14
+    assert np.array_equal(x, x_before)
+    assert not np.shares_memory(u.values, v)
+    assert not np.shares_memory(u.nodes, x)
+
+
+def test_gridfunction_arrays_are_read_only():
+    x, v = sample_profile()
+    u = GridFunction(x, v)
+    for arr in (u.nodes, u.values, u.cell_widths(), u.slopes(), u.midpoints()):
+        with pytest.raises(ValueError):
+            arr[1] = 0.5
+
+
+def test_cached_geometry_is_computed_once_and_exact():
+    x, v = sample_profile()
+    u = GridFunction(x, v)
+    for method in (u.cell_widths, u.slopes, u.midpoints):
+        first = method()
+        assert method() is first
+        assert not first.flags.writeable
+    assert np.array_equal(u.cell_widths(), np.diff(x))
+    assert np.array_equal(u.slopes(), np.diff(u.values) / np.diff(x))
+    assert np.array_equal(u.midpoints(), 0.5 * (x[:-1] + x[1:]))
+    h = np.diff(x)
+    grid = u.grid
+    assert grid.width_pairs is grid.width_pairs
+    assert np.array_equal(grid.width_pairs, h[:-1] + h[1:])
+    xi = x[1:-1]
+    w = np.concatenate([[0.5 * (xi[1] - xi[0])], 0.5 * (xi[2:] - xi[:-2]),
+                        [0.5 * (xi[-1] - xi[-2])]])
+    assert grid.interior_weights is grid.interior_weights
+    assert np.array_equal(grid.interior_weights, w)
+    assert not (grid.width_pairs.flags.writeable or grid.interior_weights.flags.writeable)
+
+
+def test_with_values_shares_the_grid():
+    x, v = sample_profile()
+    u = GridFunction(x, v)
+    w = u.with_values(2.0 * v)
+    assert w.grid is u.grid and w.nodes is u.nodes
+    assert w.cell_widths() is u.cell_widths()
+    assert np.array_equal(w.slopes(), 2.0 * np.diff(v) / np.diff(x))
+    assert GridFunction(u.grid, v).midpoints() is u.midpoints()
+
+
+def test_grid_validates_its_nodes():
+    with pytest.raises(GridError, match="strictly increasing"):
+        Grid([0.0, 0.5, 0.5, 1.0])
+    with pytest.raises(GridError, match="at least 3"):
+        Grid([0.0, 1.0])
+    with pytest.raises(GridError, match="equal length"):
+        GridFunction(np.linspace(0.0, 1.0, 5), np.zeros(4))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripwell import (
     PotentialSpec,
@@ -13,7 +15,13 @@ from tripwell import (
     sqrt_W,
 )
 from tripwell.errors import ConstructionError, GridError, ParameterError
-from tripwell.microstructure import _discrete_zero_shift, competitor_plan, two_well_count
+from tripwell.microstructure import (
+    LAYER_RES,
+    ThreeWellRise,
+    _discrete_zero_shift,
+    competitor_plan,
+    two_well_count,
+)
 
 
 def tooth_boundaries(u):
@@ -332,3 +340,50 @@ def test_modica_mortola_consistency(ex1, two_well_ladder):
             rhs = 2.0 * eps * abs(H(float(s[min(ia, len(s) - 1)])) -
                                   H(float(s[max(ib, 0)])))
             assert lhs >= rhs - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the composite rise and the three-well tooth window
+# ---------------------------------------------------------------------------
+
+EX1 = PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0))
+
+
+def three_branch_where(rise, s):
+    """The rise with every branch evaluated on every point."""
+    eps3 = rise.eps**3
+    z2 = rise.spec.wells[1]
+    low = rise.b1.w_at_scaled(s / eps3)
+    mid = (z2 - rise.mu) + (s - rise.s0) / eps3
+    high = rise.b2.w_at_scaled((s - rise.s_bridge_end) / eps3 + rise._x2_start)
+    return np.where(s <= rise.s0, low, np.where(s <= rise.s_bridge_end, mid, high))
+
+
+@settings(max_examples=80, deadline=None)
+@given(eps=st.sampled_from([0.1, 0.05, 0.03]),
+       fractions=st.lists(st.floats(-0.5, 1.5, allow_nan=False), max_size=40),
+       marks=st.lists(st.sampled_from(["s0", "end", "below-s0", "above-end"]), max_size=6))
+def test_rise_branches_match_three_branch_where(eps, fractions, marks):
+    # fractions of [s_min, s_max]: below 0 and above 1 lie outside both tables
+    rise = ThreeWellRise(EX1, eps)
+    special = {"s0": rise.s0, "end": rise.s_bridge_end,
+               "below-s0": np.nextafter(rise.s0, -np.inf),
+               "above-end": np.nextafter(rise.s_bridge_end, np.inf)}
+    s = np.array([rise.s_min + f * (rise.s_max - rise.s_min) for f in fractions]
+                 + [special[m] for m in marks], dtype=float)
+    assert rise.w_at(s).tobytes() == three_branch_where(rise, s).tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.025])
+def test_three_well_window_covers_the_shifted_transition(ex1, c1, eps):
+    # the shift moves the transition by more than the window's margin below
+    # eps ~ 0.035; every cell it crosses must still be a fine-window cell
+    u = build_three_well_profile(ex1, eps, constants=c1)
+    rise = ThreeWellRise(ex1, eps)
+    l, om = u.meta["l_M"], u.meta["omega_star"]
+    x = u.nodes
+    step = eps**3 / LAYER_RES
+    for start in (2.0 * l, 4.0 * l):                 # two rising teeth
+        lo, hi = start + om + rise.s_min, start + om + rise.s_max
+        i0, i1 = np.searchsorted(x, lo) - 1, np.searchsorted(x, hi) + 1
+        assert np.max(np.diff(x[i0:i1])) <= step * (1.0 + 1e-6)

@@ -143,3 +143,26 @@ def test_growth_single_point_range(ex1):
 def test_growth_exponent_guard(ex1):
     with pytest.raises(ParameterError):
         verify_growth(ex1, 1.0)
+
+
+@pytest.mark.parametrize("which", ["ex1", "ex2", "custom"])
+def test_eval_dW_matches_polyval_bit_for_bit(ex1, ex2, which):
+    spec = {"ex1": ex1, "ex2": ex2}.get(which) or PotentialSpec(
+        kind="custom-polynomial", wells=(-1.0, 0.5, 1.0),
+        coeffs=tuple(3.0 * npp.polyfromroots([-1.0, -1.0, 0.5, 0.5, 1.0, 1.0])) + (0.0,))
+    assert spec.dcoeffs is spec.dcoeffs
+    s = np.concatenate([np.linspace(-3.0, 3.0, 2001), [-0.0, np.inf, -np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        ref = npp.polyval(s, npp.polyder(spec.coeffs))
+        assert eval_dW(spec, s).tobytes() == ref.tobytes()
+    for x in (0.25, -2.0):
+        assert float(eval_dW(spec, x)).hex() == float(npp.polyval(x, npp.polyder(spec.coeffs))).hex()
+
+
+def test_eval_W_matches_the_factored_product_bit_for_bit(ex1):
+    z1, z2, z3 = ex1.wells
+    s = np.linspace(-3.0, 3.0, 2001)
+    prod = (s - z1) * (s - z2) * (s - z3)
+    assert eval_W(ex1, s).tobytes() == (prod * prod).tobytes()
+    p = (0.25 - z1) * (0.25 - z2) * (0.25 - z3)
+    assert float(eval_W(ex1, 0.25)).hex() == (p * p).hex()
