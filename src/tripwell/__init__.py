@@ -24,7 +24,6 @@ from .microstructure import (
     build_h8_competitor,
     build_three_well_profile,
     build_two_well_sawtooth,
-    competitor_ideal_energy,
     solve_transition_ode,
 )
 from .potential import (

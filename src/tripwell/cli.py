@@ -173,7 +173,7 @@ def _cmd_minimize(args, t0):
                      "per_start": [[k, v, c] for k, v, c in best.per_start]},
     })
     best.u.save(args.out)
-    _emit("minimize", dig, _options(args), t0, {"minimize": {
+    _emit("minimize", dig, {**_options(args), "seed": opts.seed}, t0, {"minimize": {
         "out": args.out, "value": best.value, "converged": best.converged,
         "start_kind": best.start_kind,
         "per_start": {k: v for k, v, _ in best.per_start},
@@ -203,7 +203,7 @@ def _cmd_sweep(args, t0):
     csv_text = sweep_to_csv(records)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
-    _emit("sweep", dig, _options(args), t0, {"sweep": {
+    _emit("sweep", dig, {**_options(args), "seed": opts.seed}, t0, {"sweep": {
         "out": args.out,
         "records": [{
             "eps": r.eps, "best_value": r.best_value, "eta": r.eta,

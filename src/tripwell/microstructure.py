@@ -13,9 +13,9 @@ Built on top of that:
 
 * a two-well sawtooth whose gradient oscillates z1 <-> z2 with zero-mean
   teeth (period chosen against the optimal rescaled period d*),
-* a three-well profile oscillating z1 <-> z3 through a short linear bridge
-  across the degenerate middle well, with a matching block that absorbs the
-  phase mismatch at the left end,
+* a three-well profile built from the same alternating zero-mean teeth,
+  whose gradient oscillates z1 <-> z3 through a short linear bridge across
+  the degenerate middle well,
 * periodic competitor profiles realizing prescribed volume-fraction triples
   (lambda1, lambda2, lambda3) with gradient patterns z2|z3|z1 or z1|z2|z3|z1,
   used to probe the structural hypotheses H7/H8.
@@ -106,9 +106,9 @@ def solve_transition_ode(spec: PotentialSpec, eps: float, branch: str,
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
     x_grid = np.asarray(x_grid, dtype=float)
-    if branch in ("z1z2", "z1->z2"):
+    if branch == "z1z2":
         tab = _lower_branch(spec)
-    elif branch in ("z2z3", "z2->z3"):
+    elif branch == "z2z3":
         tab = _upper_branch(spec)
     else:
         raise ParameterError(f"unknown branch {branch!r}")
@@ -132,40 +132,23 @@ PERIOD_PLATEAU_PTS = 129  # coarse nodes across one competitor period
 TOOTH_MARGIN = 4.0        # eps^3 units of window beyond a tooth's transition
 
 
-def _tooth_grid(l: float, lo: float, hi: float, eps: float) -> np.ndarray:
-    """Grid on [0, l] for a rising tooth whose transition spans [lo, hi].
+def _piece_nodes(l: float, coarse: np.ndarray, windows, eps: float) -> np.ndarray:
+    """Nodes on [0, l] for one tooth or competitor period.
 
-    TOOTH_PLATEAU_PTS coarse nodes cover the tooth; steps of eps^3/LAYER_RES
-    cover the transition window, widened by two steps and clipped to the
-    tooth.  A reversed tooth takes the mirrored nodes l - r.
+    The coarse nodes, plus steps of eps^3/LAYER_RES over each transition
+    window (lo, hi), widened by two steps and clipped to [0, l].  A node
+    within 1e-9 of a step of its left neighbour is dropped.
     """
     step = eps**3 / LAYER_RES
-    a = max(0.0, lo - 2.0 * step)
-    b = min(l, hi + 2.0 * step)
-    pts = np.unique(np.concatenate([
-        np.linspace(0.0, l, TOOTH_PLATEAU_PTS), np.arange(a, b, step), [b],
-    ]))
+    parts = [coarse]
+    for lo, hi in windows:
+        a = max(0.0, lo - 2.0 * step)
+        b = min(l, hi + 2.0 * step)
+        parts += [np.arange(a, b, step), [b]]
+    pts = np.unique(np.concatenate(parts))
     pts = pts[np.concatenate([[True], np.diff(pts) > 1e-9 * step])]
     pts[0], pts[-1] = 0.0, l
     return pts
-
-
-def _zero_mean_tooth(eval_w, l: float, lo: float, hi: float, om0: float,
-                     halfwidth: float, eps: float):
-    """Grid, zero-mean shift and gradient of a rising tooth of width l.
-
-    The transition window [lo, hi] is centred on the unshifted position om0
-    with TOOTH_MARGIN*eps^3 to spare on each side.  When the shift the
-    bisection finds moves the transition further than that, the grid is
-    rebuilt around the shift and the bisection runs again on it.
-    """
-    bracket = (om0 - halfwidth, om0 + halfwidth)
-    rel = _tooth_grid(l, lo, hi, eps)
-    om, w = _discrete_zero_shift(eval_w, rel, bracket)
-    if abs(om - om0) > TOOTH_MARGIN * eps**3:
-        rel = _tooth_grid(l, lo + (om - om0), hi + (om - om0), eps)
-        om, w = _discrete_zero_shift(eval_w, rel, bracket)
-    return rel, om, w
 
 
 def _discrete_zero_shift(eval_w, rel: np.ndarray, bracket: tuple[float, float]):
@@ -213,6 +196,32 @@ def _assemble_pieces(a: float, b: float, l: float,
                             eps=eps, meta=meta)
 
 
+def _sawtooth(eval_w, interval: tuple[float, float], n: int, lo: float, hi: float,
+              om0: float, halfwidth: float, eps: float, meta: dict) -> GridFunction:
+    """n teeth on the interval, rising and falling in turn, each of zero mean.
+
+    The rising tooth's transition eval_w(r - om) has its fine window [lo, hi]
+    centred on the unshifted position om0, with TOOTH_MARGIN*eps^3 to spare
+    on each side.  When the zero-mean shift om moves the transition further
+    than that, the grid is rebuilt around om and the bisection runs again on
+    it.  A falling tooth takes the rising tooth's nodes and values mirrored.
+    The shift is stored as meta["omega_star"].
+    """
+    a, b = interval
+    l = (b - a) / n
+    coarse = np.linspace(0.0, l, TOOTH_PLATEAU_PTS)
+    bracket = (om0 - halfwidth, om0 + halfwidth)
+    rel = _piece_nodes(l, coarse, [(lo, hi)], eps)
+    om, w = _discrete_zero_shift(eval_w, rel, bracket)
+    if abs(om - om0) > TOOTH_MARGIN * eps**3:
+        rel = _piece_nodes(l, coarse, [(lo + (om - om0), hi + (om - om0))], eps)
+        om, w = _discrete_zero_shift(eval_w, rel, bracket)
+    meta["omega_star"] = om
+    up, down = (rel, w), (l - rel[::-1], w[::-1])
+    teeth = [up if i % 2 == 0 else down for i in range(n)]
+    return _assemble_pieces(a, b, l, teeth, eps, meta)
+
+
 # ---------------------------------------------------------------------------
 # two-well sawtooth
 # ---------------------------------------------------------------------------
@@ -257,15 +266,11 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
     def eval_w(s):
         return tab.w_at_scaled(np.asarray(s) / eps**3)
 
-    rel, om, w_up = _zero_mean_tooth(
-        eval_w, l, om0 + eps**3 * (ext_lo - TOOTH_MARGIN),
-        om0 + eps**3 * (ext_hi + TOOTH_MARGIN), om0, min(0.2 * l, om0, l - om0), eps)
-    up, down = (rel, w_up), (l - rel[::-1], w_up[::-1])
-    teeth = [up if i % 2 == 0 else down for i in range(N)]
-    return _assemble_pieces(a, b, l, teeth, eps, meta={
-        "kind": "two-well", "N": N, "omega_star": om,
-        "l_N": l, "d_eps": l / eps, "d_star": c.d_star,
-    })
+    return _sawtooth(
+        eval_w, interval, N, om0 + eps**3 * (ext_lo - TOOTH_MARGIN),
+        om0 + eps**3 * (ext_hi + TOOTH_MARGIN), om0, min(0.2 * l, om0, l - om0), eps,
+        meta={"kind": "two-well", "N": N, "omega_star": None,
+              "l_N": l, "d_eps": l / eps, "d_star": c.d_star})
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +302,6 @@ class ThreeWellRise:
         _, hi2 = self.b2.extent
         self.s_min = eps**3 * lo1
         self.s_max = self.s_bridge_end + eps**3 * (hi2 - self._x2_start)
-        self.kinks = (self.s0, self.s_bridge_end)
 
     def w_at(self, s) -> np.ndarray:
         """The rise at positions s: lower branch up to s0, the bridge up to
@@ -325,14 +329,13 @@ def three_well_count(spec: PotentialSpec, eps: float, length: float,
 
 def build_three_well_profile(spec: PotentialSpec, eps: float,
                              interval: tuple[float, float] = (0.0, 1.0),
-                             constants: LimitConstants | None = None,
-                             counts_override: int | None = None) -> GridFunction:
+                             constants: LimitConstants | None = None) -> GridFunction:
     """Profile whose gradient oscillates z1 <-> z3 across the bridged middle well.
 
-    The first piece is a matching block: a z1 plateau of solvable length, the
-    composite rise, and a z3 plateau.  Its plateau length is chosen so the
-    block mean vanishes; regular teeth alternate reversed copies of the
-    composite transition with zero means enforced by the shift omega_*.
+    Like the two-well sawtooth: M teeth of width l_M, rising and falling in
+    turn, each carrying one composite transition (ThreeWellRise) whose shift
+    omega* makes the discrete tooth mean zero, so u vanishes at every tooth
+    boundary.
     """
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
@@ -342,12 +345,11 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
     c = constants if constants is not None else limit_constants(spec)
     z1, z2, z3 = spec.wells
     length = b - a
-    M = counts_override if counts_override is not None else three_well_count(
-        spec, eps, length, c)
+    M = three_well_count(spec, eps, length, c)
     if M < 2:
         raise ConstructionError(
             f"eps={eps} too large for a three-well profile on length {length}: "
-            f"tooth rule gives M={M}, need at least a matching block plus one tooth"
+            f"tooth rule gives M={M}, minimal admissible M is 2"
         )
     l = length / M
     rise = ThreeWellRise(spec, eps)
@@ -358,55 +360,11 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
     halfwidth = min(0.2 * l, om0 - max(0.0, -rise.s_min), l - om0 - max(0.0, rise.s_max))
     if halfwidth <= 0.0:
         raise ConstructionError("eps too large: no admissible zero-mean shift")
-    rel, om, w_up = _zero_mean_tooth(
-        rise.w_at, l, om0 + rise.s_min - TOOTH_MARGIN * eps**3,
-        om0 + rise.s_max + TOOTH_MARGIN * eps**3, om0, halfwidth, eps)
-    up, down = (rel, w_up), (l - rel[::-1], w_up[::-1])
-    block_nodes, block_vals, block_plateau = _matching_block(spec, eps, rise, l)
-    teeth = [(block_nodes, block_vals)] + [down if i % 2 == 1 else up for i in range(1, M)]
-    return _assemble_pieces(a, b, l, teeth, eps, meta={
-        "kind": "three-well", "M": M, "omega_star": om,
-        "l_M": l, "h_eps": l / eps, "h_star": c.h_star,
-        "mu": rise.mu, "block_plateau": block_plateau,
-    })
-
-
-def _matching_block(spec: PotentialSpec, eps: float, rise: ThreeWellRise,
-                    l: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """First piece of the three-well profile on [0, l], mean forced to zero.
-
-    Layout: [z1 plateau of length a | composite rise | z3 plateau].  The
-    plateau length a solves the linear zero-mean equation.
-    """
-    z1, _, z3 = spec.wells
-    step = eps**3 / LAYER_RES
-    r_rise = np.unique(np.concatenate([
-        np.arange(rise.s_min, rise.s_max, step),
-        np.asarray(rise.kinks), [rise.s_min, rise.s_max],
-    ]))
-    r_rise = r_rise[(r_rise >= rise.s_min) & (r_rise <= rise.s_max)]
-    v_rise = rise.w_at(r_rise)
-    dr = np.diff(r_rise)
-    rise_int = float(np.dot(dr, 0.5 * (v_rise[:-1] + v_rise[1:])))
-    rise_len = rise.s_max - rise.s_min
-
-    # z1*a + rise_int + z3*(l - rise_len - a) == 0
-    a_len = (rise_int + z3 * (l - rise_len)) / (z3 - z1)
-    z3_len = l - rise_len - a_len
-    if a_len < 0.0 or z3_len < 0.0:
-        raise ConstructionError(
-            "no admissible matching-block plateau length: eps too large for this interval"
-        )
-
-    p3 = a_len + rise_len
-    n_plateau = TOOTH_PLATEAU_PTS // 2
-    z1_nodes = np.linspace(0.0, a_len, n_plateau)
-    z3_nodes = np.linspace(p3, p3 + z3_len, n_plateau)[1:]
-    block_nodes = np.concatenate([z1_nodes, a_len + (r_rise - rise.s_min)[1:], z3_nodes])
-    block_vals = np.concatenate([np.full(n_plateau, z1), v_rise[1:],
-                                 np.full(n_plateau - 1, z3)])
-    keep = np.concatenate([[True], np.diff(block_nodes) > 1e-15 * l])
-    return block_nodes[keep], block_vals[keep], a_len
+    return _sawtooth(
+        rise.w_at, interval, M, om0 + rise.s_min - TOOTH_MARGIN * eps**3,
+        om0 + rise.s_max + TOOTH_MARGIN * eps**3, om0, halfwidth, eps,
+        meta={"kind": "three-well", "M": M, "omega_star": None,
+              "l_M": l, "h_eps": l / eps, "h_star": c.h_star, "mu": rise.mu})
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +480,6 @@ def competitor_plan(spec: PotentialSpec, kind: str, yhat: float,
                           variant=variant, offset=offset)
 
 
-def competitor_ideal_energy(spec: PotentialSpec, kind: str, yhat: float,
-                            constants: LimitConstants | None = None) -> float:
-    """Limit energy of the competitor pattern as eps drops to zero."""
-    return competitor_plan(spec, kind, yhat, constants).ideal
-
-
 def _transition_fn(spec: PotentialSpec, eps: float, za: float, zb: float,
                    rise: ThreeWellRise | None):
     """Mollified gradient transition centered at 0: (callable, lo, hi)."""
@@ -554,7 +506,6 @@ def _build_period(spec: PotentialSpec, eps: float, zvals: list[float],
     """One period of the mollified pattern on [0, T]."""
     T = float(np.sum(widths))
     bounds = np.concatenate([[0.0], np.cumsum(widths)])
-    step = eps**3 / LAYER_RES
     trans = []
     for j in range(len(zvals) - 1):
         fn, lo, hi = _transition_fn(spec, eps, zvals[j], zvals[j + 1], rise)
@@ -563,18 +514,12 @@ def _build_period(spec: PotentialSpec, eps: float, zvals: list[float],
                 "eps too large: a transition does not fit inside its plateau")
         trans.append((bounds[j + 1], fn, lo, hi))
 
-    parts = [np.array([0.0, T])]
+    coarse = [np.array([0.0, T])]
     for j in range(len(zvals)):
         npts = max(4, int(PERIOD_PLATEAU_PTS * widths[j] / T) + 2)
-        parts.append(np.linspace(bounds[j], bounds[j + 1], npts))
-    for b, _, lo, hi in trans:
-        parts.append(np.arange(b + lo - 2.0 * step, b + hi + 2.0 * step, step))
-        parts.append(np.array([b + hi + 2.0 * step]))
-    nodes = np.unique(np.concatenate(parts))
-    nodes = nodes[(nodes >= 0.0) & (nodes <= T)]
-    keep = np.concatenate([[True], np.diff(nodes) > 1e-9 * step])
-    nodes = nodes[keep]
-    nodes[0], nodes[-1] = 0.0, T
+        coarse.append(np.linspace(bounds[j], bounds[j + 1], npts))
+    nodes = _piece_nodes(T, np.concatenate(coarse),
+                         [(b + lo, b + hi) for b, _, lo, hi in trans], eps)
 
     seg_idx = np.clip(np.searchsorted(bounds, nodes, side="right") - 1, 0, len(zvals) - 1)
     vals = np.asarray(zvals, dtype=float)[seg_idx]
@@ -630,8 +575,8 @@ def build_h7_competitor(spec: PotentialSpec, eps: float, yhat: float,
     """Periodic profile with gradient pattern z2|z3|z1 mirrored about mid-period.
 
     Realizes the volume fractions lambda2 = 1/(yhat*z31 + z21),
-    lambda3 = yhat*lambda2; its energy approaches ``competitor_ideal_energy``
-    as eps drops.
+    lambda3 = yhat*lambda2; its energy approaches the plan's limit energy
+    ``competitor_plan(spec, "h7", yhat).ideal`` as eps drops.
     """
     return _build_competitor(spec, eps, "h7", yhat, constants)
 

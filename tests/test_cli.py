@@ -139,6 +139,7 @@ def test_seed_env_override(spec_files, tmp_path):
                 "--max-iters", "10", "--seed", "1", "--grid-n", "2001", "--out", a,
                 env={"TRIPWELL_SEED": "9"})
     assert r.returncode == 0
+    assert json.loads(r.stdout)["manifest"]["options"]["seed"] == 9
     r = run_cli("sweep", "--potential", p1, "--eps", "0.1", "--starts", "3",
                 "--max-iters", "10", "--seed", "9", "--grid-n", "2001", "--out", b)
     assert r.returncode == 0

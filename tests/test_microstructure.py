@@ -9,6 +9,7 @@ from tripwell import (
     build_h8_competitor,
     build_three_well_profile,
     build_two_well_sawtooth,
+    energy_gradient,
     energy_Ieps,
     eval_f,
     solve_transition_ode,
@@ -231,6 +232,20 @@ def test_three_well_tooth_zeros(three_well_005):
     assert np.max(np.abs(at)) <= 1e-10
 
 
+def test_three_well_teeth_alternate_like_the_sawtooth(ex1, three_well_005):
+    # the first tooth is a regular rising tooth: the third one shifted back
+    u = three_well_005
+    l = u.meta["l_M"]
+    k = int(np.searchsorted(u.nodes, l * (1.0 + 1e-12), side="right"))
+    j = int(np.argmin(np.abs(u.nodes - 2.0 * l)))
+    first, third = slice(0, k), slice(j, j + k)
+    assert u.nodes[third].shape == u.nodes[first].shape
+    assert np.allclose(u.nodes[third] - 2.0 * l, u.nodes[first], rtol=0.0, atol=1e-12)
+    assert np.allclose(u.values[third], u.values[first], rtol=0.0, atol=1e-12)
+    # no gradient spike where a plateau meets the transition window
+    assert np.max(np.abs(energy_gradient(u, 0.05, ex1))) < 1e5
+
+
 def test_three_well_eps_too_large(ex1, c1):
     with pytest.raises(ConstructionError):
         build_three_well_profile(ex1, 0.9, constants=c1)
@@ -296,6 +311,17 @@ def test_competitor_zero_mean_periods(h7_005, h8_005):
     for u in (h7_005, h8_005):
         at = np.interp(tooth_boundaries(u), u.nodes, u.values)
         assert np.max(np.abs(at)) <= 1e-10
+
+
+def test_competitor_transitions_on_fine_cells(ex2, c2, h7_005, h8_005):
+    # every cell whose slope is off the wells lies in a transition window
+    eps = 0.05
+    h8b = build_h8_competitor(ex2, eps, 0.8, constants=c2)
+    for u in (h7_005, h8_005, h8b):
+        s = u.slopes()
+        off = np.min(np.abs(s[:, None] - np.asarray(ex2.wells)), axis=1) > 1e-9
+        assert np.count_nonzero(off) > 0
+        assert np.max(np.diff(u.nodes)[off]) <= eps**3 / LAYER_RES * (1.0 + 1e-9)
 
 
 def test_competitor_guards(ex2, c2):
