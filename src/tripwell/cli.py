@@ -32,7 +32,7 @@ from .microstructure import (
     build_two_well_sawtooth,
     competitor_plan,
 )
-from .minimizer import MinimizeOptions, epsilon_sweep, multi_start, sweep_to_csv
+from .minimizer import MinimizeOptions, eps_ladder, epsilon_sweep, multi_start, sweep_to_csv
 from .potential import PotentialSpec, load_potential
 
 EXAMPLE_POTENTIALS = {
@@ -190,7 +190,7 @@ def _sweep_entry(packed):
 
 def _cmd_sweep(args, t0):
     spec, dig = _load_spec(args)
-    eps_list = [float(tok) for tok in args.eps.split(",") if tok]
+    eps_list = eps_ladder(tok for tok in args.eps.split(",") if tok)
     opts = _make_opts(args)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

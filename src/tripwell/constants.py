@@ -61,11 +61,18 @@ def gauss_legendre_panels(f, edges: np.ndarray) -> np.ndarray:
     return 0.5 * h * (f(nodes) @ _GL_WEIGHTS)
 
 
-def _quad_sqrtW(spec: PotentialSpec, a: float, b: float, tol: float) -> float:
-    """Composite Gauss-Legendre integral of sqrt(W) on uniform panels of [a, b].
+def _sqrtW_integral(spec: PotentialSpec, a: float, b: float, tol: float) -> float:
+    """Integral of sqrt(W) over a panel [a, b] with no well inside it.
 
-    The panel count doubles until two successive sums agree within ``tol``.
+    For the canonical family sqrt(W) is the monic cubic with the wells as
+    roots, up to a sign that is constant on the panel, so the integral is the
+    absolute difference of its antiderivative.  Custom densities use
+    composite Gauss-Legendre quadrature on uniform panels, doubling the panel
+    count until two successive sums agree within ``tol``.
     """
+    if spec.kind == TRIPLE_WELL:
+        prim = npp.polyint(npp.polyfromroots(list(spec.wells)))
+        return abs(npp.polyval(b, prim) - npp.polyval(a, prim))
     prev = float(np.sum(gauss_legendre_panels(spec.sqrtW, np.array([a, b]))))
     for k in range(1, 13):
         val = float(np.sum(gauss_legendre_panels(spec.sqrtW, np.linspace(a, b, 2**k + 1))))
@@ -76,48 +83,27 @@ def _quad_sqrtW(spec: PotentialSpec, a: float, b: float, tol: float) -> float:
         f"quadrature of sqrt(W) on [{a}, {b}] did not settle within tol", estimate=val)
 
 
-def _exact_band_integral(spec: PotentialSpec, a: float, b: float) -> float:
-    """Exact integral of |s-z1||s-z2||s-z3| between consecutive wells."""
-    prim = npp.polyint(npp.polyfromroots(list(spec.wells)))
-    signed = npp.polyval(b, prim) - npp.polyval(a, prim)
-    z1, z2, z3 = spec.wells
-    # the monic cubic is positive on (z1, z2) and negative on (z2, z3)
-    return signed if b <= z2 else -signed
-
-
 def interface_energies(spec: PotentialSpec, tol: float = 1e-10) -> tuple[float, float]:
-    """(E0, E1): exact for the canonical family, whose integrand is a signed
-    cubic between consecutive wells; Gauss-Legendre quadrature to ``tol`` for
-    custom densities."""
+    """(E0, E1): exact for the canonical family, Gauss-Legendre quadrature to
+    ``tol`` for custom densities (see ``_sqrtW_integral``)."""
     if not (0.0 < tol <= 1e-3):
         raise ParameterError("tol must lie in (0, 1e-3]")
     z1, z2, z3 = spec.wells
-    if spec.kind == TRIPLE_WELL:
-        return 2.0 * _exact_band_integral(spec, z1, z2), 2.0 * _exact_band_integral(spec, z2, z3)
-    return 2.0 * _quad_sqrtW(spec, z1, z2, tol), 2.0 * _quad_sqrtW(spec, z2, z3, tol)
+    return 2.0 * _sqrtW_integral(spec, z1, z2, tol), 2.0 * _sqrtW_integral(spec, z2, z3, tol)
 
 
 def H_antiderivative(spec: PotentialSpec, s: float, tol: float = 1e-10) -> float:
     """Signed antiderivative H(s) = integral of sqrt(W) from 0 to s.
 
     The integration is split at interior wells so the |integrand| kinks never
-    sit inside a panel.  For the canonical family each panel integrates the
-    signed monic cubic exactly; custom densities use Gauss-Legendre quadrature.
+    sit inside a panel; each panel goes through ``_sqrtW_integral``.
     """
     if not (0.0 < tol <= 1e-3):
         raise ParameterError("tol must lie in (0, 1e-3]")
     s = float(s)
     lo, hi = (0.0, s) if s >= 0.0 else (s, 0.0)
     pts = sorted({lo, hi} | {z for z in spec.wells if lo < z < hi})
-    if spec.kind == TRIPLE_WELL:
-        cubic = npp.polyfromroots(list(spec.wells))
-        prim = npp.polyint(cubic)
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            sign = 1.0 if npp.polyval(0.5 * (a + b), cubic) >= 0.0 else -1.0
-            total += sign * (npp.polyval(b, prim) - npp.polyval(a, prim))
-    else:
-        total = sum(_quad_sqrtW(spec, a, b, tol) for a, b in zip(pts[:-1], pts[1:]))
+    total = sum((_sqrtW_integral(spec, a, b, tol) for a, b in zip(pts[:-1], pts[1:])), 0.0)
     return total if s >= 0.0 else -total
 
 
@@ -171,7 +157,6 @@ class HypothesisVerdict:
     violation_intervals: tuple[tuple[float, float], ...]
     worst_y: float
     worst_margin: float
-    reduced_confidence: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -179,7 +164,6 @@ class HypothesisVerdict:
             "violation_intervals": [list(iv) for iv in self.violation_intervals],
             "worst_y": self.worst_y,
             "worst_margin": self.worst_margin,
-            "reduced_confidence": self.reduced_confidence,
         }
 
 
@@ -201,6 +185,7 @@ def _trim(coeffs: np.ndarray, rel: float = 1e-9) -> np.ndarray:
         c = c[:-1]
     return c
 
+
 def _real_positive_roots(coeffs: np.ndarray) -> np.ndarray:
     c = _trim(coeffs)
     if len(c) <= 1:
@@ -210,116 +195,40 @@ def _real_positive_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.sort(real[real > 0.0])
 
 
-def _bisect_root(f, lo: float, hi: float, xtol: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, f(mid)
-    return 0.5 * (lo + hi)
+def _decide(name: str, num: np.ndarray, den: np.ndarray, y_max: float) -> HypothesisVerdict:
+    """Sign analysis of the margin ``num/den`` on y >= 0, with ``den`` > 0 there.
 
-
-def _decide(name: str, decision: np.ndarray, margin, y_max: float) -> HypothesisVerdict:
-    """Sign analysis of a low-degree decision polynomial on [0, inf).
-
-    ``decision`` has the same positive-y sign pattern as ``margin``; violation
-    intervals are reported clipped to [0, y_max] with endpoints refined by
-    bisection, and the worst point of ``margin`` is located from the exact
-    stationary points.
+    The window is [0, Y] with Y = max(y_max, 2 * the largest positive root of
+    ``num``), so every sign change lies inside it.  The violation intervals
+    run between the exact positive roots of ``num``; the worst point is the
+    least margin among 0, Y and the exact stationary points, the roots of
+    num' * den - num * den' in (0, Y).
     """
-    dec = _trim(decision)
-    if len(dec) <= 1:
-        # constant decision polynomial: fall back to a dense margin scan
-        ys = np.linspace(0.0, y_max, 100_000)
-        m = margin(ys)
-        worst = int(np.argmin(m))
-        fails = bool(m[worst] < 0.0)
-        ivs = ()
-        if fails:
-            lo = ys[m < 0.0][0]
-            hi = ys[m < 0.0][-1]
-            ivs = ((float(lo), float(hi)),)
-        return HypothesisVerdict(name, "fails" if fails else "holds", ivs,
-                                 float(ys[worst]), float(m[worst]),
-                                 reduced_confidence=True)
+    num = _trim(num)
+    roots = _real_positive_roots(num)
+    y_end = max(y_max, 2.0 * roots[-1]) if roots.size else y_max
+    edges = np.concatenate([[0.0], roots, [y_end]])
+    intervals = tuple((float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])
+                      if lo < hi and npp.polyval(0.5 * (lo + hi), num) < 0.0)
 
-    roots = _real_positive_roots(dec)
-    edges = np.concatenate([[0.0], roots, [max(y_max, (roots[-1] if roots.size else 0.0) + 1.0) * 2.0]])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    neg = npp.polyval(mids, dec) < 0.0
-    # include the sign at y=0 and the tail sign from the leading coefficient
-    tail_neg = dec[-1] < 0.0
-    fails = bool(np.any(neg) or tail_neg)
-
-    intervals = []
-    for k in range(len(mids)):
-        if not neg[k]:
-            continue
-        lo, hi = edges[k], edges[k + 1]
-        if lo >= y_max:
-            continue
-        # polish endpoints against the true margin to 1e-4
-        if lo > 0.0:
-            lo = _bisect_root(margin, max(0.0, lo - 1e-3), lo + 1e-3, 1e-4)
-        hi = min(hi, y_max)
-        if hi < y_max:
-            hi = _bisect_root(margin, hi - 1e-3, hi + 1e-3, 1e-4)
-        intervals.append((float(lo), float(hi)))
-    if tail_neg and (not intervals or intervals[-1][1] < y_max):
-        start = roots[-1] if roots.size else 0.0
-        intervals.append((float(min(start, y_max)), float(y_max)))
-
-    # worst point of the margin over [0, y_max]: stationary points of the
-    # decision polynomial are a superset only for the cubic cases, so use the
-    # margin's own derivative sampled through the decision structure.
-    cand = [0.0, y_max]
-    dd = npp.polyder(dec)
-    stat = _real_positive_roots(dd)
-    cand.extend(float(t) for t in stat if t < y_max)
-    cand.extend(float(t) for iv in intervals for t in iv)
-    # refine near the most negative candidate with a short golden search
-    cand = np.array(sorted(set(cand)))
-    mc = margin(cand)
-    j = int(np.argmin(mc))
-    lo = cand[max(0, j - 1)]
-    hi = cand[min(len(cand) - 1, j + 1)]
-    worst_y = _golden_min(margin, lo, hi)
-    worst_margin = float(margin(worst_y))
-    if worst_margin > float(mc[j]):
-        worst_y, worst_margin = float(cand[j]), float(mc[j])
-    return HypothesisVerdict(name, "fails" if fails else "holds",
-                             tuple(intervals), float(worst_y), worst_margin)
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return float(0.5 * (a + b))
+    stat = npp.polysub(npp.polymul(npp.polyder(num), den), npp.polymul(num, npp.polyder(den)))
+    cand = np.concatenate([[0.0, y_end], [t for t in _real_positive_roots(stat) if t < y_end]])
+    margins = npp.polyval(cand, num) / npp.polyval(cand, den)
+    j = int(np.argmin(margins))
+    return HypothesisVerdict(name, "fails" if intervals else "holds", intervals,
+                             float(cand[j]), float(margins[j]))
 
 
 def check_hypotheses(spec: PotentialSpec, y_max: float = 50.0,
                      constants: LimitConstants | None = None) -> HypothesisReport:
-    """Decide H6-H8 by exact root isolation of low-degree polynomials.
+    """Decide H6-H8 from the exact roots of low-degree polynomials.
 
-    H6 and H7 margins are exact cubics in y.  The H8 margin is rational;
-    multiplying through by the positive denominator 4*(z21 + y*z31) yields a
-    polynomial whose quartic coefficient cancels analytically, leaving a cubic
-    decision polynomial.
+    H6 and H7 margins are exact cubics in y.  The H8 margin is rational: its
+    numerator, the margin times the positive denominator 4*(z21 + y*z31), is a
+    polynomial whose quartic coefficient cancels analytically, leaving a
+    cubic.  ``_decide`` reads the violation intervals and the worst point off
+    the exact roots, on a window that reaches past ``y_max`` to twice the
+    largest positive root of the numerator.
     """
     if y_max < 10.0:
         raise ParameterError("y_max must be at least 10")
@@ -341,10 +250,7 @@ def check_hypotheses(spec: PotentialSpec, y_max: float = 50.0,
                      np.array([-z2 * z21, 0.0, z31 * z3]))
     q8 = npp.polysub(9.0 * EE**2 * npp.polysub(t1, 3.0 * sq), npp.polymul(denom, cube))
 
-    def margin(which):
-        return lambda y: np.asarray(eval_f(spec, which, y, c) - (c.A0 + c.B0 * np.asarray(y)) ** 3)
-
-    h6 = _decide("H6", p6, margin("f6"), y_max)
-    h7 = _decide("H7", p7, margin("f7"), y_max)
-    h8 = _decide("H8", q8, margin("f8"), y_max)
-    return HypothesisReport(h6=h6, h7=h7, h8=h8)
+    one = np.array([1.0])
+    return HypothesisReport(h6=_decide("H6", p6, one, y_max),
+                            h7=_decide("H7", p7, one, y_max),
+                            h8=_decide("H8", q8, denom, y_max))

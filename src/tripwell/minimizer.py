@@ -210,6 +210,14 @@ def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
     return out
 
 
+def eps_ladder(eps_list) -> list[float]:
+    """The eps values as floats, checked to be strictly decreasing."""
+    eps_list = [float(e) for e in eps_list]
+    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
+        raise ParameterError("eps ladder must be strictly decreasing")
+    return eps_list
+
+
 def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
                   constants: LimitConstants | None = None) -> list[SweepRecord]:
     """Multi-start minimization along a decreasing eps ladder.
@@ -218,9 +226,7 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
     the same eta capped below the band-degeneracy bound (at moderate eps the
     natural window is too wide for the layer definitions to make sense).
     """
-    eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
-        raise ParameterError("eps ladder must be strictly decreasing")
+    eps_list = eps_ladder(eps_list)
     c = constants if constants is not None else limit_constants(spec)
     q = coercivity_exponent(spec)
     z1, z2, z3 = spec.wells

@@ -131,6 +131,20 @@ def test_sweep_jobs_match_serial(spec_files, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_sweep_rejects_rising_ladder_for_every_jobs_value(spec_files, tmp_path):
+    p1, _ = spec_files
+    errs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        r = run_cli("sweep", "--potential", p1, "--eps", "0.07,0.1", "--grid-n", "2001",
+                    "--jobs", jobs, "--out", str(out))
+        assert r.returncode == 2
+        assert "eps ladder must be strictly decreasing" in r.stderr
+        assert not out.exists()
+        errs.append(r.stderr)
+    assert errs[0] == errs[1]
+
+
 def test_seed_env_override(spec_files, tmp_path):
     p1, _ = spec_files
     a = str(tmp_path / "a.csv")

@@ -206,12 +206,17 @@ def test_h6_origin_margin_first_example(ex1, c1):
     assert rep.h6.worst_margin <= margin0 + 1e-12
 
 
-def test_report_invariants(ex2):
-    rep = check_hypotheses(ex2)
+@pytest.mark.parametrize("wells", [(-1.0, 0.5, 1.0), (-1.0, 0.5, 3.02)],
+                         ids=["example-2", "sign-change-beyond-ymax"])
+def test_report_invariants(wells):
+    # with z3 = 3.02 the H6 margin changes sign near y = 55, beyond y_max = 50
+    rep = check_hypotheses(PotentialSpec(wells=wells))
     for verdict in (rep.h6, rep.h7, rep.h8):
         fails = verdict.status == "fails"
         assert fails == (len(verdict.violation_intervals) > 0)
         assert fails == (verdict.worst_margin < 0.0)
+        for lo, hi in verdict.violation_intervals:
+            assert lo < hi
 
 
 def test_verdicts_agree_with_dense_scan(ex1, ex2, c1, c2):
@@ -225,6 +230,7 @@ def test_verdicts_agree_with_dense_scan(ex1, ex2, c1, c2):
                 inside |= (ys >= lo) & (ys <= hi)
             assert not np.any((margin < -1e-8) & ~inside)
             assert not np.any((margin > 1e-8) & inside)
+            assert verdict.worst_margin <= margin.min()
 
 
 def test_violation_endpoints_bracket_sign_changes(ex2, c2):
@@ -233,8 +239,8 @@ def test_violation_endpoints_bracket_sign_changes(ex2, c2):
         for lo, hi in verdict.violation_intervals:
             def margin(y):
                 return float(eval_f(ex2, name, y, c2)) - (c2.A0 + c2.B0 * y) ** 3
-            assert margin(lo - 2e-4) > 0.0 > margin(lo + 2e-4)
-            assert margin(hi - 2e-4) < 0.0 < margin(hi + 2e-4)
+            assert margin(lo - 1e-7) > 0.0 > margin(lo + 1e-7)
+            assert margin(hi - 1e-7) < 0.0 < margin(hi + 1e-7)
 
 
 def test_comparison_functions_dominate_scaled_line():
