@@ -230,8 +230,8 @@ def check_hypotheses(spec: PotentialSpec, y_max: float = 50.0,
     the exact roots, on a window that reaches past ``y_max`` to twice the
     largest positive root of the numerator.
     """
-    if y_max < 10.0:
-        raise ParameterError("y_max must be at least 10")
+    if not 10.0 <= y_max < np.inf:
+        raise ParameterError("y_max must be finite and at least 10")
     c = constants if constants is not None else limit_constants(spec)
     z1, z2, z3 = spec.wells
     z21, z31 = c.z21, c.z31

@@ -191,7 +191,7 @@ def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
 
 
 def energy_breakdown(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> EnergyBreakdown:
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise GridError("eps must be positive")
     ux = u.slopes()
     raw, _ = _kernel(u.grid, u.values, ux, eps, density)
@@ -216,7 +216,7 @@ def energy_Eeps(u: GridFunction, eps: float, density) -> EnergyBreakdown:
 
 def energy_gradient(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> np.ndarray:
     """d(energy)/d(u_j) at interior nodes (boundary nodes are pinned)."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise GridError("eps must be positive")
     _, g = _kernel(u.grid, u.values, u.slopes(), eps, density, value=False, grad=True)
     return _scale_gradient(g, eps, scaling)

@@ -7,15 +7,15 @@ per well pair (it is eps-free in x/eps^3 units) and inverted monotonically;
 beyond the table the solution saturates exponentially fast and is clamped to
 the exact well values.  Forward time-stepping is deliberately avoided: the
 wells are degenerate equilibria and explicit steppers stall or overshoot
-there.
+there.  The z1 -> z3 transition is one more table, per eps: the two branches
+spliced by a short linear bridge across the degenerate middle well.
 
 Built on top of that:
 
 * a two-well sawtooth whose gradient oscillates z1 <-> z2 with zero-mean
   teeth (period chosen against the optimal rescaled period d*),
 * a three-well profile built from the same alternating zero-mean teeth,
-  whose gradient oscillates z1 <-> z3 through a short linear bridge across
-  the degenerate middle well,
+  whose gradient oscillates z1 <-> z3 through the bridged table,
 * periodic competitor profiles realizing prescribed volume-fraction triples
   (lambda1, lambda2, lambda3) with gradient patterns z2|z3|z1 or z1|z2|z3|z1,
   used to probe the structural hypotheses H7/H8.
@@ -40,12 +40,12 @@ from .potential import PotentialSpec, coercivity_exponent, sqrt_W
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Monotone samples of one heteroclinic branch in x/eps^3 units."""
+    """Monotone samples of one gradient transition in x/eps^3 units."""
 
     z_lo: float
     z_hi: float
     w_tab: np.ndarray
-    x_tab: np.ndarray          # scaled positions, anchored at the branch anchor
+    x_tab: np.ndarray          # scaled positions, 0 where w passes the anchor value
 
     def w_at_scaled(self, xs) -> np.ndarray:
         """Invert x(w) at scaled positions, clamping to the exact wells."""
@@ -60,10 +60,13 @@ class TransitionTable:
         return float(self.x_tab[0]), float(self.x_tab[-1])
 
 
+TABLE_SIDE_PTS = 400      # geometric samples toward each well of a branch
+TABLE_MID_PTS = 2400      # uniform samples across the middle of a branch
+
+
 @functools.lru_cache(maxsize=64)
 def _transition_table(spec: PotentialSpec, z_lo: float, z_hi: float,
-                      anchor_w: float, n_side: int = 400,
-                      n_mid: int = 2400) -> TransitionTable:
+                      anchor_w: float) -> TransitionTable:
     """Tabulate x(w) = integral dw/sqrt(W) between two wells.
 
     The grid mixes geometric clustering toward both wells (the integrand has
@@ -74,10 +77,10 @@ def _transition_table(spec: PotentialSpec, z_lo: float, z_hi: float,
     """
     span = z_hi - z_lo
     delta = 1e-12 * span
-    offs = np.geomspace(delta, 0.25 * span, n_side)
+    offs = np.geomspace(delta, 0.25 * span, TABLE_SIDE_PTS)
     w_pts = np.unique(np.concatenate([
         [anchor_w], z_lo + offs, z_hi - offs,
-        np.linspace(z_lo + 0.2 * span, z_hi - 0.2 * span, n_mid),
+        np.linspace(z_lo + 0.2 * span, z_hi - 0.2 * span, TABLE_MID_PTS),
     ]))
     steps = gauss_legendre_panels(lambda w: 1.0 / sqrt_W(spec, w), w_pts)
     x = np.concatenate([[0.0], np.cumsum(steps)])
@@ -95,6 +98,36 @@ def _upper_branch(spec: PotentialSpec) -> TransitionTable:
     return _transition_table(spec, z2, z3, 0.5 * (z2 + z3))
 
 
+def _bridge_mu(spec: PotentialSpec, eps: float) -> float:
+    """Half-width mu = eps^(2/(max(3,q)-2)) of the bridge across z2."""
+    return eps ** (2.0 / (max(3.0, coercivity_exponent(spec)) - 2.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _rise_table(spec: PotentialSpec, eps: float) -> TransitionTable:
+    """The monotone z1 -> z3 transition in x/eps^3 units.
+
+    The two heteroclinic branches cannot be joined directly (the middle well
+    is a degenerate equilibrium), so they are spliced by a linear bridge of
+    slope eps^-3 in x across [z2 - mu, z2 + mu]: the lower branch up to
+    z2 - mu at x0, the bridge to x0 + 2 mu, and the upper branch from z2 + mu
+    shifted to start there.  Interpolation is linear between the bridge ends.
+    """
+    z1, z2, z3 = spec.wells
+    mu = _bridge_mu(spec, eps)
+    if not (mu < 0.25 * min(z2 - z1, z3 - z2)):
+        raise ConstructionError("eps too large: bridge width exceeds the well gaps")
+    b1, b2 = _lower_branch(spec), _upper_branch(spec)
+    x0 = b1.x_at(z2 - mu)
+    x1 = x0 + 2.0 * mu
+    low, high = b1.w_tab < z2 - mu, b2.w_tab > z2 + mu
+    return TransitionTable(
+        z_lo=z1, z_hi=z3,
+        w_tab=np.concatenate([b1.w_tab[low], [z2 - mu, z2 + mu], b2.w_tab[high]]),
+        x_tab=np.concatenate([b1.x_tab[low], [x0, x1],
+                              b2.x_tab[high] - b2.x_at(z2 + mu) + x1]))
+
+
 def solve_transition_ode(spec: PotentialSpec, eps: float, branch: str,
                          x_grid: np.ndarray) -> np.ndarray:
     """Sample the monotone heteroclinic w(x) on x_grid.
@@ -103,7 +136,7 @@ def solve_transition_ode(spec: PotentialSpec, eps: float, branch: str,
     at the mid-value between the upper wells.  The grid must resolve the
     transition scale: steps inside the layer may not exceed eps^3 / 10.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ParameterError("eps must be positive")
     x_grid = np.asarray(x_grid, dtype=float)
     if branch == "z1z2":
@@ -243,7 +276,7 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
     shift omega* enforces an exactly zero discrete tooth mean, so u vanishes
     at every tooth boundary.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ParameterError("eps must be positive")
     a, b = interval
     if not b > a:
@@ -277,49 +310,6 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
 # three-well profile (z1 <-> z3 through the bridged middle well)
 # ---------------------------------------------------------------------------
 
-class ThreeWellRise:
-    """Monotone composite gradient transition z1 -> z3.
-
-    The two heteroclinic branches cannot be joined directly (the middle well
-    is a degenerate equilibrium), so they are spliced by a linear bridge of
-    slope eps^-3 across [z2 - mu, z2 + mu], with mu = eps^(2/(max(3,q)-2)).
-    """
-
-    def __init__(self, spec: PotentialSpec, eps: float):
-        self.spec = spec
-        self.eps = eps
-        q = coercivity_exponent(spec)
-        self.mu = eps ** (2.0 / (max(3.0, q) - 2.0))
-        z1, z2, z3 = spec.wells
-        if not (self.mu < 0.25 * min(z2 - z1, z3 - z2)):
-            raise ConstructionError("eps too large: bridge width exceeds the well gaps")
-        self.b1 = _lower_branch(spec)
-        self.b2 = _upper_branch(spec)
-        self.s0 = eps**3 * self.b1.x_at(z2 - self.mu)
-        self.s_bridge_end = self.s0 + 2.0 * eps**3 * self.mu
-        self._x2_start = self.b2.x_at(z2 + self.mu)
-        lo1, _ = self.b1.extent
-        _, hi2 = self.b2.extent
-        self.s_min = eps**3 * lo1
-        self.s_max = self.s_bridge_end + eps**3 * (hi2 - self._x2_start)
-
-    def w_at(self, s) -> np.ndarray:
-        """The rise at positions s: lower branch up to s0, the bridge up to
-        s_bridge_end, the upper branch beyond; each branch is evaluated on
-        its own points only."""
-        s = np.asarray(s, dtype=float)
-        eps3 = self.eps**3
-        z2 = self.spec.wells[1]
-        low = s <= self.s0
-        high = ~(s <= self.s_bridge_end)
-        mid = ~(low | high)
-        out = np.empty_like(s)
-        out[low] = self.b1.w_at_scaled(s[low] / eps3)
-        out[mid] = (z2 - self.mu) + (s[mid] - self.s0) / eps3
-        out[high] = self.b2.w_at_scaled((s[high] - self.s_bridge_end) / eps3 + self._x2_start)
-        return out
-
-
 def three_well_count(spec: PotentialSpec, eps: float, length: float,
                      constants: LimitConstants | None = None) -> int:
     """Default tooth count: smallest integer above length/(eps*h*)."""
@@ -333,11 +323,11 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
     """Profile whose gradient oscillates z1 <-> z3 across the bridged middle well.
 
     Like the two-well sawtooth: M teeth of width l_M, rising and falling in
-    turn, each carrying one composite transition (ThreeWellRise) whose shift
-    omega* makes the discrete tooth mean zero, so u vanishes at every tooth
-    boundary.
+    turn, each carrying one bridged z1 -> z3 transition (``_rise_table``)
+    whose shift omega* makes the discrete tooth mean zero, so u vanishes at
+    every tooth boundary.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ParameterError("eps must be positive")
     a, b = interval
     if not b > a:
@@ -352,19 +342,19 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
             f"tooth rule gives M={M}, minimal admissible M is 2"
         )
     l = length / M
-    rise = ThreeWellRise(spec, eps)
-    if rise.s_max - rise.s_min > 0.6 * l:
+    rise, s_min, s_max = _transition_fn(spec, eps, z1, z3)
+    if s_max - s_min > 0.6 * l:
         raise ConstructionError("eps too large: transition does not fit inside a tooth")
 
     om0 = l * z3 / (z3 - z1)
-    halfwidth = min(0.2 * l, om0 - max(0.0, -rise.s_min), l - om0 - max(0.0, rise.s_max))
+    halfwidth = min(0.2 * l, om0 - max(0.0, -s_min), l - om0 - max(0.0, s_max))
     if halfwidth <= 0.0:
         raise ConstructionError("eps too large: no admissible zero-mean shift")
     return _sawtooth(
-        rise.w_at, interval, M, om0 + rise.s_min - TOOTH_MARGIN * eps**3,
-        om0 + rise.s_max + TOOTH_MARGIN * eps**3, om0, halfwidth, eps,
-        meta={"kind": "three-well", "M": M, "omega_star": None,
-              "l_M": l, "h_eps": l / eps, "h_star": c.h_star, "mu": rise.mu})
+        rise, interval, M, om0 + s_min - TOOTH_MARGIN * eps**3,
+        om0 + s_max + TOOTH_MARGIN * eps**3, om0, halfwidth, eps,
+        meta={"kind": "three-well", "M": M, "omega_star": None, "l_M": l,
+              "h_eps": l / eps, "h_star": c.h_star, "mu": _bridge_mu(spec, eps)})
 
 
 # ---------------------------------------------------------------------------
@@ -480,39 +470,35 @@ def competitor_plan(spec: PotentialSpec, kind: str, yhat: float,
                           variant=variant, offset=offset)
 
 
-def _transition_fn(spec: PotentialSpec, eps: float, za: float, zb: float,
-                   rise: ThreeWellRise | None):
-    """Mollified gradient transition centered at 0: (callable, lo, hi)."""
+def _transition_fn(spec: PotentialSpec, eps: float, za: float, zb: float):
+    """Gradient transition from za to zb centred at 0: (callable, lo, hi)."""
     z1, z2, z3 = spec.wells
     eps3 = eps**3
-    rising = zb > za
     pair = {min(za, zb), max(za, zb)}
-    if pair == {z1, z3}:
-        assert rise is not None
-        lo, hi = rise.s_min, rise.s_max
-        if rising:
-            return (lambda r: rise.w_at(r)), lo, hi
-        return (lambda r: rise.w_at(-np.asarray(r))), -hi, -lo
-    tab = _lower_branch(spec) if pair == {z1, z2} else _upper_branch(spec)
+    if pair == {z1, z2}:
+        tab = _lower_branch(spec)
+    elif pair == {z2, z3}:
+        tab = _upper_branch(spec)
+    else:
+        tab = _rise_table(spec, eps)
     lo, hi = tab.extent
-    if rising:
+    if zb > za:
         return (lambda r: tab.w_at_scaled(np.asarray(r) / eps3)), eps3 * lo, eps3 * hi
     return (lambda r: tab.w_at_scaled(-np.asarray(r) / eps3)), -eps3 * hi, -eps3 * lo
 
 
 def _build_period(spec: PotentialSpec, eps: float, zvals: list[float],
-                  widths: np.ndarray, rise: ThreeWellRise | None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One period of the mollified pattern on [0, T]."""
     T = float(np.sum(widths))
     bounds = np.concatenate([[0.0], np.cumsum(widths)])
-    trans = []
-    for j in range(len(zvals) - 1):
-        fn, lo, hi = _transition_fn(spec, eps, zvals[j], zvals[j + 1], rise)
+    # every table first: a too-wide z1 -> z3 bridge is reported before any fit
+    trans = [(bounds[j + 1], *_transition_fn(spec, eps, zvals[j], zvals[j + 1]))
+             for j in range(len(zvals) - 1)]
+    for j, (_, _, lo, hi) in enumerate(trans):
         if -lo > 0.45 * widths[j] or hi > 0.45 * widths[j + 1]:
             raise ConstructionError(
                 "eps too large: a transition does not fit inside its plateau")
-        trans.append((bounds[j + 1], fn, lo, hi))
 
     coarse = [np.array([0.0, T])]
     for j in range(len(zvals)):
@@ -538,11 +524,7 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
     widths = np.array([w for _, w in plan.segments]) * T
     if zvals[0] != zvals[-1]:
         raise ConstructionError("pattern must start and end on the same plateau")
-    z1, z2, z3 = spec.wells
-    rise = None
-    if any({min(p, q), max(p, q)} == {z1, z3}
-           for p, q in zip(zvals[:-1], zvals[1:])):
-        rise = ThreeWellRise(spec, eps)
+    z1, _, z3 = spec.wells
 
     # pick the interior boundary with the largest gradient jump and nudge it
     # until the discrete period mean vanishes (it moves by O(eps^3))
@@ -550,7 +532,7 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
     jstar = int(np.argmax(jumps))
     nodes = vals = None
     for _ in range(6):
-        nodes, vals = _build_period(spec, eps, zvals, widths, rise)
+        nodes, vals = _build_period(spec, eps, zvals, widths)
         m = float(np.dot(np.diff(nodes), 0.5 * (vals[:-1] + vals[1:])))
         if abs(m) <= 1e-15 * T * max(abs(z1), z3):
             break
@@ -591,7 +573,7 @@ def build_h8_competitor(spec: PotentialSpec, eps: float, yhat: float,
 
 def _build_competitor(spec: PotentialSpec, eps: float, kind: str, yhat: float,
                       constants: LimitConstants | None) -> GridFunction:
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ParameterError("eps must be positive")
     c = constants if constants is not None else limit_constants(spec)
     plan = competitor_plan(spec, kind, yhat, c)

@@ -42,8 +42,12 @@ class MinimizeOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ParameterError("grad_tol must be positive")
+        if self.grid_n < 3:
+            raise ParameterError("grid_n must be at least 3")
+        if self.max_iters < 1:
+            raise ParameterError("max_iters must be at least 1")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise ParameterError("grad_tol must be finite and positive")
         if self.starts < 1:
             raise ParameterError("need at least one start")
 

@@ -181,6 +181,20 @@ def test_exit_codes(spec_files, tmp_path):
     r = run_cli("sweep", "--potential", p1, "--eps", "0.1", "--out", str(tmp_path / "s.csv"),
                 "--step-rule", "quasi-newton")
     assert r.returncode == 1                             # the flag is gone
+    # out-of-range numbers: exit 2 with a ParameterError before any work
+    for cmd in (["construct", "--eps", "nan", "--kind", "two-well",
+                 "--out", str(tmp_path / "x.json")],
+                ["check-hypotheses", "--ymax", "nan"],
+                ["check-hypotheses", "--ymax", "inf"],
+                ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--grid-n", "2"],
+                ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--max-iters", "0"],
+                ["minimize", "--eps", "0.1", "--out", str(tmp_path / "m.json"),
+                 "--grad-tol", "nan"]):
+        r = run_cli(*cmd, "--potential", p1)
+        assert r.returncode == 2, cmd
+        assert r.stderr.startswith("{"), cmd           # no warnings ahead of the error
+        assert json.loads(r.stderr)["error"]["type"] == "ParameterError", cmd
+    assert not any((tmp_path / name).exists() for name in ("x.json", "s.csv", "m.json"))
     # malformed input files: exit 2 with a JSON error, not a traceback
     bad = tmp_path / "bad.json"
     for doc in ({}, None, [1, 2], {"nodes": [0.0, 0.5, 1.0]},

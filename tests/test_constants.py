@@ -260,5 +260,6 @@ def test_comparison_functions_dominate_scaled_line():
 
 
 def test_parameter_guards(ex1):
-    with pytest.raises(ParameterError):
-        check_hypotheses(ex1, y_max=5.0)
+    for y_max in (5.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            check_hypotheses(ex1, y_max=y_max)

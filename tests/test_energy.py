@@ -134,6 +134,14 @@ def test_duplicate_nodes_rejected():
         GridFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+def test_energy_rejects_nonpositive_eps(ex1, eps):
+    u = GridFunction(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.1, 0.2, 0.1, 0.0]))
+    for fn in (energy_Ieps, energy_gradient):
+        with pytest.raises(GridError, match="eps must be positive"):
+            fn(u, eps, ex1)
+
+
 @pytest.mark.parametrize("doc", [
     {"nodes": "abc", "values": [0.0, 0.1, 0.0]},
     {"nodes": [0.0, None, 1.0], "values": [0.0, 0.1, 0.0]},

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripwell import (
+    Coercivity,
     PotentialSpec,
     build_h7_competitor,
     build_h8_competitor,
@@ -18,8 +19,11 @@ from tripwell import (
 from tripwell.errors import ConstructionError, GridError, ParameterError
 from tripwell.microstructure import (
     LAYER_RES,
-    ThreeWellRise,
+    _bridge_mu,
     _discrete_zero_shift,
+    _lower_branch,
+    _rise_table,
+    _upper_branch,
     competitor_plan,
     two_well_count,
 )
@@ -72,6 +76,9 @@ def test_transition_upper_branch(ex1):
 def test_transition_grid_resolution_guard(ex1):
     with pytest.raises(GridError):
         solve_transition_ode(ex1, 0.05, "z1z2", np.linspace(-0.01, 0.01, 5))
+    for eps in (0.0, np.nan):
+        with pytest.raises(ParameterError):
+            solve_transition_ode(ex1, eps, "z1z2", np.linspace(-0.01, 0.01, 5))
 
 
 def test_layer_width_scaling(ex1):
@@ -331,6 +338,17 @@ def test_competitor_guards(ex2, c2):
         build_h7_competitor(ex2, 0.45, 0.585, constants=c2)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.05, np.nan])
+@pytest.mark.parametrize("build", [
+    build_two_well_sawtooth, build_three_well_profile,
+    lambda spec, eps, constants: build_h7_competitor(spec, eps, 0.585, constants=constants),
+    lambda spec, eps, constants: build_h8_competitor(spec, eps, 0.204, constants=constants),
+], ids=["two-well", "three-well", "h7", "h8"])
+def test_builders_reject_nonpositive_eps(ex2, c2, build, eps):
+    with pytest.raises(ParameterError, match="eps must be positive"):
+        build(ex2, eps, constants=c2)
+
+
 # ---------------------------------------------------------------------------
 # shared invariants
 # ---------------------------------------------------------------------------
@@ -373,31 +391,54 @@ def test_modica_mortola_consistency(ex1, two_well_ladder):
 # ---------------------------------------------------------------------------
 
 EX1 = PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0))
+RISE_SPECS = [
+    EX1,
+    PotentialSpec(wells=(-1.0, 0.5, 1.0)),
+    PotentialSpec(wells=(-2.0, 0.6, 1.5)),
+    # a coercivity record with q = 4 widens the bridge to mu = eps
+    PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0), coercivity=Coercivity(4.0, 0.1, 1.0)),
+]
 
 
-def three_branch_where(rise, s):
-    """The rise with every branch evaluated on every point."""
-    eps3 = rise.eps**3
-    z2 = rise.spec.wells[1]
-    low = rise.b1.w_at_scaled(s / eps3)
-    mid = (z2 - rise.mu) + (s - rise.s0) / eps3
-    high = rise.b2.w_at_scaled((s - rise.s_bridge_end) / eps3 + rise._x2_start)
-    return np.where(s <= rise.s0, low, np.where(s <= rise.s_bridge_end, mid, high))
+def three_branch_where(spec, eps, xs):
+    """The rise at scaled positions xs by the three-branch rule: the lower
+    branch up to x0, the bridge of unit slope up to x1 = x0 + 2 mu, the upper
+    branch shifted to pass through z2 + mu at x1 beyond; every branch is
+    evaluated on every point.  Returns the values, (x0, x1) and the position
+    where the shifted upper branch ends."""
+    z2 = spec.wells[1]
+    mu = _bridge_mu(spec, eps)
+    lower, upper = _lower_branch(spec), _upper_branch(spec)
+    x0 = lower.x_at(z2 - mu)
+    x1 = x0 + 2.0 * mu
+    shift = upper.x_at(z2 + mu) - x1
+    low = lower.w_at_scaled(xs)
+    mid = (z2 - mu) + (xs - x0)
+    high = upper.w_at_scaled(xs + shift)
+    w = np.where(xs <= x0, low, np.where(xs <= x1, mid, high))
+    return w, (x0, x1), upper.extent[1] - shift
 
 
 @settings(max_examples=80, deadline=None)
-@given(eps=st.sampled_from([0.1, 0.05, 0.03]),
-       fractions=st.lists(st.floats(-0.5, 1.5, allow_nan=False), max_size=40),
-       marks=st.lists(st.sampled_from(["s0", "end", "below-s0", "above-end"]), max_size=6))
-def test_rise_branches_match_three_branch_where(eps, fractions, marks):
-    # fractions of [s_min, s_max]: below 0 and above 1 lie outside both tables
-    rise = ThreeWellRise(EX1, eps)
-    special = {"s0": rise.s0, "end": rise.s_bridge_end,
-               "below-s0": np.nextafter(rise.s0, -np.inf),
-               "above-end": np.nextafter(rise.s_bridge_end, np.inf)}
-    s = np.array([rise.s_min + f * (rise.s_max - rise.s_min) for f in fractions]
-                 + [special[m] for m in marks], dtype=float)
-    assert rise.w_at(s).tobytes() == three_branch_where(rise, s).tobytes()
+@given(spec=st.sampled_from(RISE_SPECS),
+       eps=st.sampled_from([0.1, 0.05, 0.03]),
+       fractions=st.lists(st.floats(-0.5, 1.5, allow_nan=False), max_size=40))
+def test_rise_branches_match_three_branch_where(spec, eps, fractions):
+    # fractions of the table's extent: below 0 and above 1 lie beyond both ends
+    tab = _rise_table(spec, eps)
+    lo, hi = tab.extent
+    _, (x0, x1), ref_hi = three_branch_where(spec, eps, np.zeros(1))
+    assert lo == _lower_branch(spec).extent[0]
+    assert abs(hi - ref_hi) <= 4.0 * np.spacing(hi)
+    marks = [lo - 1.0, lo, hi + 1.0]
+    for x in (x0, x1):
+        marks += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    xs = np.array([lo + f * (hi - lo) for f in fractions] + marks)
+    # the clamp to z3 jumps by 1e-12 of the upper span at hi, whose position
+    # is compared to rounding above
+    xs = xs[np.abs(xs - hi) > 4.0 * np.spacing(hi)]
+    w_ref, _, _ = three_branch_where(spec, eps, xs)
+    assert np.max(np.abs(tab.w_at_scaled(xs) - w_ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("eps", [0.03, 0.025])
@@ -405,11 +446,11 @@ def test_three_well_window_covers_the_shifted_transition(ex1, c1, eps):
     # the shift moves the transition by more than the window's margin below
     # eps ~ 0.035; every cell it crosses must still be a fine-window cell
     u = build_three_well_profile(ex1, eps, constants=c1)
-    rise = ThreeWellRise(ex1, eps)
+    s_min, s_max = (eps**3 * x for x in _rise_table(ex1, eps).extent)
     l, om = u.meta["l_M"], u.meta["omega_star"]
     x = u.nodes
     step = eps**3 / LAYER_RES
     for start in (2.0 * l, 4.0 * l):                 # two rising teeth
-        lo, hi = start + om + rise.s_min, start + om + rise.s_max
+        lo, hi = start + om + s_min, start + om + s_max
         i0, i1 = np.searchsorted(x, lo) - 1, np.searchsorted(x, hi) + 1
         assert np.max(np.diff(x[i0:i1])) <= step * (1.0 + 1e-6)

@@ -136,7 +136,9 @@ def test_sweep_deterministic(ex1, c1):
 
 
 def test_options_validation():
-    with pytest.raises(ParameterError):
-        MinimizeOptions(grad_tol=0.0)
-    with pytest.raises(ParameterError):
-        MinimizeOptions(starts=0)
+    for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-4}, {"grad_tol": np.nan},
+                {"grad_tol": np.inf}, {"starts": 0}, {"grid_n": 2},
+                {"max_iters": 0}, {"max_iters": -1}):
+        with pytest.raises(ParameterError):
+            MinimizeOptions(**bad)
+    MinimizeOptions(grid_n=3, max_iters=1)
