@@ -179,7 +179,7 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
     of the analysis, and are echoed by the CLI.  ``layers`` are those of
     ``transition_layers(u, spec, eta)`` when the caller already has them.
     """
-    if u.eps <= 0.0:
+    if not u.eps > 0.0:
         raise ParameterError("interval classification needs the profile's eps")
     _, z2, z3 = spec.wells
     r_lo, r_hi = thresholds

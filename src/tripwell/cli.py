@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 numeric or construction failure (the
 failure detail goes to stderr as JSON).  Every JSON payload opens with a run
 manifest; floating-point output is printed with 12 significant digits, and
 repeated runs with byte-identical inputs and the same seed produce
-byte-identical output apart from the manifest's wall_time_s field.
+byte-identical output apart from the manifest's wall_time_s field and the
+descent_s of each start in the minimize and sweep payloads.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .microstructure import (
     build_two_well_sawtooth,
     competitor_plan,
 )
-from .minimizer import MinimizeOptions, eps_ladder, epsilon_sweep, multi_start, sweep_to_csv
+from .minimizer import MinimizeOptions, epsilon_sweep, multi_start, sweep_to_csv
 from .potential import PotentialSpec, load_potential
 
 EXAMPLE_POTENTIALS = {
@@ -170,36 +171,22 @@ def _cmd_minimize(args, t0):
     best.u.meta.update({
         "minimize": {"value": best.value, "converged": best.converged,
                      "start_kind": best.start_kind,
-                     "per_start": [[k, v, c] for k, v, c in best.per_start]},
+                     "per_start": [[s.start_kind, s.value, s.converged] for s in best.per_start]},
     })
     best.u.save(args.out)
     _emit("minimize", dig, {**_options(args), "seed": opts.seed}, t0, {"minimize": {
         "out": args.out, "value": best.value, "converged": best.converged,
         "start_kind": best.start_kind,
-        "per_start": {k: v for k, v, _ in best.per_start},
+        "per_start": {s.start_kind: s.value for s in best.per_start},
+        "starts": [dataclasses.asdict(s) for s in best.per_start],
     }})
     return 0
 
 
-def _sweep_entry(packed):
-    spec_dict, eps, opts_dict = packed
-    spec = PotentialSpec.from_dict(spec_dict)
-    records = epsilon_sweep(spec, [eps], MinimizeOptions(**opts_dict))
-    return records[0]
-
-
 def _cmd_sweep(args, t0):
     spec, dig = _load_spec(args)
-    eps_list = eps_ladder(tok for tok in args.eps.split(",") if tok)
     opts = _make_opts(args)
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        packed = [(spec.to_dict(), e, dataclasses.asdict(opts)) for e in eps_list]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_sweep_entry, packed))
-    else:
-        records = epsilon_sweep(spec, eps_list, opts)
+    records = epsilon_sweep(spec, [tok for tok in args.eps.split(",") if tok], opts)
     csv_text = sweep_to_csv(records)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
@@ -210,6 +197,7 @@ def _cmd_sweep(args, t0):
             "lambda": [r.lambda1, r.lambda2, r.lambda3],
             "layersA": r.n_layers_A, "layersB": r.n_layers_B,
             "start_kind": r.start_kind, "start_values": r.start_values,
+            "starts": [dataclasses.asdict(s) for s in r.per_start],
         } for r in records],
     }})
     return 0
@@ -219,7 +207,7 @@ def _make_opts(args) -> MinimizeOptions:
     seed = int(os.environ.get("TRIPWELL_SEED", args.seed))
     return MinimizeOptions(
         grid_n=args.grid_n, max_iters=args.max_iters, grad_tol=args.grad_tol,
-        starts=args.starts, seed=seed,
+        starts=args.starts, seed=seed, jobs=args.jobs,
     )
 
 
@@ -335,7 +323,9 @@ def build_parser() -> _Parser:
             sp.add_argument("--eps", required=True,
                             help="comma-separated decreasing ladder, e.g. 0.1,0.07,0.05")
             sp.add_argument("--out", required=True)
-            sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=0,
+                        help="worker processes for a rung's starts (0 = one per CPU "
+                             "that BLAS threads leave free)")
         sp.add_argument("--grid-n", dest="grid_n", type=int, default=20001)
         sp.add_argument("--starts", type=int, default=5)
         sp.add_argument("--seed", type=int, default=0)

@@ -74,7 +74,8 @@ class GridFunction:
         nodes: finite, strictly increasing abscissae (default domain [0, 1]);
             a ``Grid`` may be passed instead, and is then shared.
         values: nodal values of u; first and last must be exactly zero.
-        eps: the regularization scale the profile was built for (0 = generic).
+        eps: the regularization scale the profile was built for (0 = generic);
+            finite and non-negative.
         meta: free-form construction metadata carried through JSON artifacts.
 
     ``nodes`` and ``values`` are read-only copies the profile owns; the cell
@@ -90,6 +91,8 @@ class GridFunction:
                                           compare=False)
 
     def __post_init__(self):
+        if not 0.0 <= self.eps < np.inf:
+            raise GridError("eps must be finite and non-negative")
         self.grid = self.nodes if isinstance(self.nodes, Grid) else Grid(self.nodes)
         self.nodes = self.grid.nodes
         values = np.array(self.values, dtype=float)

@@ -13,7 +13,10 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import os
+import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +43,7 @@ class MinimizeOptions:
     grad_tol: float = 1e-4         # sup-norm stopping threshold
     starts: int = 5
     seed: int = 0
+    jobs: int = 0                  # worker processes for the starts; 0 = see workers
 
     def __post_init__(self):
         if self.grid_n < 3:
@@ -50,6 +54,41 @@ class MinimizeOptions:
             raise ParameterError("grad_tol must be finite and positive")
         if self.starts < 1:
             raise ParameterError("need at least one start")
+        if self.jobs < 0:
+            raise ParameterError("jobs must be at least 0")
+
+    @property
+    def workers(self) -> int:
+        """Worker processes for the starts: ``jobs``, or if it is 0 one per
+        available CPU that each worker's BLAS threads leave free.
+
+        OpenBLAS runs OPENBLAS_NUM_THREADS threads, else OMP_NUM_THREADS,
+        else one per CPU, and splits every dot product of more than 10,000
+        entries over them.  Workers that each run a thread per CPU fight for
+        the CPUs: on 2 CPUs with neither variable set, a rung at eps 0.07
+        took 21 s in one process and 40 s in two.  So without a thread count
+        the default is one process.
+        """
+        if self.jobs:
+            return self.jobs
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            threads = os.environ.get(var, "")
+            if threads.isdigit() and int(threads) > 0:
+                return max(1, len(os.sched_getaffinity(0)) // int(threads))
+        return 1
+
+
+@dataclass(frozen=True)
+class StartRecord:
+    """What one start's descent did; ``descent_s`` is left out of ``==``."""
+
+    start_kind: str
+    value: float
+    converged: bool
+    n_nodes: int
+    iterations: int
+    n_fev: int
+    descent_s: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -61,7 +100,8 @@ class MinimizeResult:
     n_fev: int = 0                 # objective evaluations of the descent
     start_kind: str = ""
     history: list = field(default_factory=list)
-    per_start: list = field(default_factory=list)
+    per_start: list = field(default_factory=list)   # a StartRecord per start
+    descent_s: float = field(default=0.0, compare=False)   # wall time of the descent
 
 
 @dataclass
@@ -77,7 +117,12 @@ class SweepRecord:
     n_layers_B: int
     start_kind: str
     eta: float = 0.0
-    start_values: dict = field(default_factory=dict)
+    per_start: list = field(default_factory=list)   # a StartRecord per start
+
+    @property
+    def start_values(self) -> dict:
+        """Final energy of each start, by start kind."""
+        return {s.start_kind: s.value for s in self.per_start}
 
 
 def minimize_Ieps(spec, eps: float, init: GridFunction,
@@ -187,6 +232,22 @@ def _seed_builders(spec, eps: float, opts: MinimizeOptions,
     return seeds[: opts.starts]
 
 
+def _descend(spec, eps: float, kind: str, init: GridFunction,
+             opts: MinimizeOptions) -> MinimizeResult | TripwellError:
+    """One start's descent, timed; a TripwellError is returned, not raised.
+
+    Module-level so that a worker process can run it.
+    """
+    t0 = time.perf_counter()
+    try:
+        r = minimize_Ieps(spec, eps, init, opts)
+    except TripwellError as exc:
+        return exc
+    r.descent_s = time.perf_counter() - t0
+    r.start_kind = kind
+    return r
+
+
 def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
                 constants: LimitConstants | None = None) -> MinimizeResult:
     """Run descent from every seed and return the argmin.
@@ -194,32 +255,54 @@ def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
     Fully deterministic given ``opts.seed``; ties break on start order.  Seeds
     that fail to construct or to take a single step are recorded and skipped;
     if every start fails, the per-start reasons are aggregated.
+
+    The seeds are built here, in start order.  With ``opts.workers`` above 1
+    the descents run in a pool of forked worker processes that is joined
+    before this returns; each descent depends only on its seed and ``opts``,
+    so the result is the same for every ``jobs``.
     """
     c = constants if constants is not None else limit_constants(spec)
-    results: list[MinimizeResult] = []
-    failures: list[str] = []
+    seeds: list[tuple[str, GridFunction | TripwellError]] = []
     for kind, build in _seed_builders(spec, eps, opts, c):
         try:
-            r = minimize_Ieps(spec, eps, build(), opts)
+            seeds.append((kind, build()))
         except TripwellError as exc:
-            failures.append(f"{kind}: {exc}")
+            seeds.append((kind, exc))
+    tasks = [(kind, init) for kind, init in seeds if isinstance(init, GridFunction)]
+    workers = min(opts.workers, len(tasks))
+    if workers > 1:
+        # loaded here, so that importing the package or the CLI does not
+        # pay for multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork starts neither a forkserver nor a resource tracker, and the
+        # with block joins every worker
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(_descend, repeat(spec), repeat(eps),
+                                     *zip(*tasks), repeat(opts)))
+    else:
+        outcomes = [_descend(spec, eps, kind, init, opts) for kind, init in tasks]
+    done = iter(outcomes)
+    results: list[MinimizeResult] = []
+    failures: list[str] = []
+    for kind, init in seeds:
+        r = init if isinstance(init, TripwellError) else next(done)
+        if isinstance(r, TripwellError):
+            failures.append(f"{kind}: {r}")
             continue
-        r.start_kind = kind
+        if r.u.grid is not init.grid:
+            # a profile back from a worker: share the seed's grid again, and
+            # read-only arrays with it (unpickled arrays are writeable)
+            r.u = GridFunction(init.grid, r.u.values, eps=r.u.eps, meta=r.u.meta)
         results.append(r)
     if not results:
         raise ConstructionError("all starts failed: " + "; ".join(failures))
     best = min(range(len(results)), key=lambda i: (results[i].value, i))
     out = results[best]
-    out.per_start = [(r.start_kind, r.value, r.converged) for r in results]
+    out.per_start = [StartRecord(r.start_kind, r.value, r.converged, len(r.u),
+                                 r.iterations, r.n_fev, r.descent_s) for r in results]
     return out
-
-
-def eps_ladder(eps_list) -> list[float]:
-    """The eps values as floats, checked to be strictly decreasing."""
-    eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
-        raise ParameterError("eps ladder must be strictly decreasing")
-    return eps_list
 
 
 def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
@@ -230,7 +313,9 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
     the same eta capped below the band-degeneracy bound (at moderate eps the
     natural window is too wide for the layer definitions to make sense).
     """
-    eps_list = eps_ladder(eps_list)
+    eps_list = [float(e) for e in eps_list]
+    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
+        raise ParameterError("eps ladder must be strictly decreasing")
     c = constants if constants is not None else limit_constants(spec)
     q = coercivity_exponent(spec)
     z1, z2, z3 = spec.wells
@@ -247,8 +332,7 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
             eps=eps, best_value=best.value,
             lambda1=vf.lam[0], lambda2=vf.lam[1], lambda3=vf.lam[2],
             n_layers_A=n_a, n_layers_B=n_b,
-            start_kind=best.start_kind, eta=eta,
-            start_values={k: v for k, v, _ in best.per_start},
+            start_kind=best.start_kind, eta=eta, per_start=best.per_start,
         ))
     return records
 

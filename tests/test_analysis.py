@@ -218,6 +218,10 @@ def test_slope_jump_over_band_leaves_open_interval(ex1):
 def test_d_interval_requires_eps(ex1):
     with pytest.raises(ParameterError):
         d_intervals(quarter_sawtooth(), ex1, 0.1)
+    u = quarter_sawtooth()
+    u.eps = float("nan")             # set after the constructor's check
+    with pytest.raises(ParameterError):
+        d_intervals(u, ex1, 0.1)
 
 
 def test_d_intervals_inside_l_intervals(ex1, two_well_ladder):

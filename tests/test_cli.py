@@ -96,6 +96,12 @@ def test_minimize_command_roundtrip(spec_files, tmp_path):
     payload = json.loads(r.stdout)["minimize"]
     assert payload["start_kind"] == "two-well"
     assert payload["per_start"]["two-well"] < payload["per_start"]["three-well"]
+    assert [s["start_kind"] for s in payload["starts"]] == ["two-well", "three-well"]
+    for s in payload["starts"]:
+        assert set(s) == {"start_kind", "value", "converged", "n_nodes", "iterations",
+                          "n_fev", "descent_s"}
+        assert s["value"] == payload["per_start"][s["start_kind"]]
+        assert s["n_nodes"] > 0 and 0 < s["iterations"] <= 25 and s["n_fev"] > 0
     # the stored profile is accepted unchanged by the other commands
     r = run_cli("energy", "--profile", out, "--potential", p1)
     assert r.returncode == 0
@@ -128,6 +134,9 @@ def test_sweep_jobs_match_serial(spec_files, tmp_path):
                     "--grid-n", "2001", "--jobs", jobs, "--out", out)
         assert r.returncode == 0, r.stderr
         outs.append(open(out, "rb").read())
+        records = json.loads(r.stdout)["sweep"]["records"]
+        assert [[s["start_kind"] for s in rec["starts"]] for rec in records] == \
+            [["two-well", "three-well"]] * 2
     assert outs[0] == outs[1]
 
 
@@ -189,7 +198,10 @@ def test_exit_codes(spec_files, tmp_path):
                 ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--grid-n", "2"],
                 ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--max-iters", "0"],
                 ["minimize", "--eps", "0.1", "--out", str(tmp_path / "m.json"),
-                 "--grad-tol", "nan"]):
+                 "--grad-tol", "nan"],
+                ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--jobs", "-1"],
+                ["minimize", "--eps", "0.1", "--out", str(tmp_path / "m.json"),
+                 "--jobs", "-1"]):
         r = run_cli(*cmd, "--potential", p1)
         assert r.returncode == 2, cmd
         assert r.stderr.startswith("{"), cmd           # no warnings ahead of the error
@@ -208,6 +220,22 @@ def test_exit_codes(spec_files, tmp_path):
         r = run_cli("constants", "--potential", str(bad))
         assert r.returncode == 2, doc
         assert json.loads(r.stderr)["error"]["type"] == "SpecificationError"
+
+
+def test_analyze_rejects_nan_or_negative_profile_eps(spec_files, tmp_path):
+    p1, _ = spec_files
+    prof = tmp_path / "profile.json"
+    r = run_cli("construct", "--potential", p1, "--eps", "0.07",
+                "--kind", "three-well", "--out", str(prof))
+    assert r.returncode == 0
+    data = json.loads(prof.read_text())
+    for eps in (float("nan"), -0.07):
+        prof.write_text(json.dumps({**data, "eps": eps}))
+        r = run_cli("analyze", "--profile", str(prof), "--potential", p1, "--eta", "0.2")
+        assert r.returncode == 2, eps
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["error"] == {
+            "type": "GridError", "message": "eps must be finite and non-negative"}
 
 
 def test_non_finite_output_fails(spec_files, tmp_path):

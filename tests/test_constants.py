@@ -96,6 +96,16 @@ def test_import_loads_no_scipy(module):
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["tripwell", "tripwell.minimizer", "tripwell.cli"])
+def test_import_loads_no_process_pool(module):
+    # the pool of multi_start is set up inside the function, when it is used
+    code = (f"import sys, {module}; "
+            "print([m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_antiderivative_properties(ex1):
     assert H_antiderivative(ex1, 0.0) == 0.0
     z1, z2, _ = ex1.wells

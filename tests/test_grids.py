@@ -73,3 +73,13 @@ def test_grid_validates_its_nodes():
         Grid([0.0, 1.0])
     with pytest.raises(GridError, match="equal length"):
         GridFunction(np.linspace(0.0, 1.0, 5), np.zeros(4))
+
+
+def test_gridfunction_rejects_nan_infinite_or_negative_eps():
+    x, v = sample_profile()
+    for eps in (np.nan, np.inf, -0.07):
+        with pytest.raises(GridError, match="eps must be finite and non-negative"):
+            GridFunction(x, v, eps=eps)
+        with pytest.raises(GridError, match="eps must be finite and non-negative"):
+            GridFunction.from_dict({"nodes": x.tolist(), "values": v.tolist(), "eps": eps})
+    assert GridFunction(x, v, eps=0.0).eps == 0.0

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
+import tripwell.minimizer as minimizer
 from tripwell import GridFunction, energy_Ieps
-from tripwell.errors import ParameterError
+from tripwell.errors import ConstructionError, NumericError, ParameterError
 from tripwell.microstructure import build_three_well_profile, build_two_well_sawtooth
 from tripwell.minimizer import (
     SWEEP_COLUMNS,
@@ -81,7 +84,7 @@ def test_multi_start_winner_and_window(ex1, c1):
     assert res.start_kind == "two-well"
     target = c1.A0 / c1.z21
     assert 0.9 * target <= res.value <= 1.25 * target
-    values = dict((k, v) for k, v, _ in res.per_start)
+    values = {s.start_kind: s.value for s in res.per_start}
     assert values["two-well"] < values["three-well"]
 
 
@@ -99,7 +102,7 @@ def test_multi_start_skips_a_seed_that_fails_to_build(ex2, c2):
     opts = MinimizeOptions(starts=3, seed=3, max_iters=10)
     res = multi_start(ex2, 0.1, opts, c2)
     assert res.start_kind == "two-well"
-    assert [k for k, _, _ in res.per_start] == ["two-well", "three-well"]
+    assert [s.start_kind for s in res.per_start] == ["two-well", "three-well"]
 
 
 def test_multi_start_reproducible(ex1, c1):
@@ -138,7 +141,92 @@ def test_sweep_deterministic(ex1, c1):
 def test_options_validation():
     for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-4}, {"grad_tol": np.nan},
                 {"grad_tol": np.inf}, {"starts": 0}, {"grid_n": 2},
-                {"max_iters": 0}, {"max_iters": -1}):
+                {"max_iters": 0}, {"max_iters": -1}, {"jobs": -1}):
         with pytest.raises(ParameterError):
             MinimizeOptions(**bad)
     MinimizeOptions(grid_n=3, max_iters=1)
+
+
+def test_default_workers_leave_room_for_blas_threads(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert MinimizeOptions().workers == 1          # OpenBLAS takes every CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert MinimizeOptions().workers == cpus
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus))
+    assert MinimizeOptions().workers == 1
+    assert MinimizeOptions(jobs=3).workers == 3
+
+
+POOLED = MinimizeOptions(starts=3, seed=3, max_iters=20, grid_n=4001, jobs=2)
+
+
+def assert_no_child_process():
+    # waitpid(-1) raises only when this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pooled_starts_match_serial(ex1, c1):
+    serial = multi_start(ex1, 0.1, MinimizeOptions(**{**vars(POOLED), "jobs": 1}), c1)
+    pooled = multi_start(ex1, 0.1, POOLED, c1)
+    assert pooled.value == serial.value
+    assert pooled.history == serial.history
+    assert pooled.per_start == serial.per_start
+    assert np.array_equal(pooled.u.nodes, serial.u.nodes)
+    assert np.array_equal(pooled.u.values, serial.u.values)
+    assert [s.start_kind for s in pooled.per_start] == ["two-well", "three-well", "random-0"]
+    for s in pooled.per_start:
+        assert s.n_nodes > 0 and s.iterations > 0 and s.n_fev > 0 and s.descent_s > 0.0
+    assert_no_child_process()
+
+
+def test_pooled_winner_shares_the_seed_grid(ex1, c1, monkeypatch):
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(build_two_well_sawtooth(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(minimizer, "build_two_well_sawtooth", record)
+    res = multi_start(ex1, 0.1, POOLED, c1)
+    assert res.start_kind == "two-well"
+    assert res.u.grid is built[0].grid
+    for a in (res.u.values, res.u.nodes, res.u.grid.width_pairs, res.u.slopes()):
+        assert not a.flags.writeable
+
+
+def test_pool_records_a_start_that_raises_in_a_worker(ex1, c1, monkeypatch):
+    descend = minimizer.minimize_Ieps
+
+    def fail_three_well(spec, eps, init, opts):
+        if init.meta.get("kind") == "three-well":
+            raise NumericError("three-well descent failed")
+        return descend(spec, eps, init, opts)
+
+    # fork carries the patch into the workers
+    monkeypatch.setattr(minimizer, "minimize_Ieps", fail_three_well)
+    res = multi_start(ex1, 0.1, POOLED, c1)
+    assert [s.start_kind for s in res.per_start] == ["two-well", "random-0"]
+    assert_no_child_process()
+
+    def fail(spec, eps, init, opts):
+        raise NumericError(f"{init.meta['kind']} failed")
+
+    monkeypatch.setattr(minimizer, "minimize_Ieps", fail)
+    with pytest.raises(ConstructionError, match="two-well: two-well failed; "
+                                                "three-well: three-well failed; "
+                                                "random-0: random-sawtooth failed"):
+        multi_start(ex1, 0.1, POOLED, c1)
+    assert_no_child_process()
+
+
+def test_pool_leaves_no_child_when_a_worker_crashes(ex1, c1, monkeypatch):
+    def crash(spec, eps, init, opts):
+        raise RuntimeError("not a TripwellError")
+
+    monkeypatch.setattr(minimizer, "minimize_Ieps", crash)
+    with pytest.raises(RuntimeError, match="not a TripwellError"):
+        multi_start(ex1, 0.1, POOLED, c1)
+    assert_no_child_process()
