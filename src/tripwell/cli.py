@@ -186,7 +186,8 @@ def _cmd_minimize(args, t0):
 def _cmd_sweep(args, t0):
     spec, dig = _load_spec(args)
     opts = _make_opts(args)
-    records = epsilon_sweep(spec, [tok for tok in args.eps.split(",") if tok], opts)
+    records = epsilon_sweep(spec, [tok for tok in args.eps.split(",") if tok], opts,
+                            max_workers=args.jobs)
     csv_text = sweep_to_csv(records)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
@@ -207,7 +208,7 @@ def _make_opts(args) -> MinimizeOptions:
     seed = int(os.environ.get("TRIPWELL_SEED", args.seed))
     return MinimizeOptions(
         grid_n=args.grid_n, max_iters=args.max_iters, grad_tol=args.grad_tol,
-        starts=args.starts, seed=seed, jobs=args.jobs,
+        starts=args.starts, seed=seed,
     )
 
 
@@ -323,9 +324,9 @@ def build_parser() -> _Parser:
             sp.add_argument("--eps", required=True,
                             help="comma-separated decreasing ladder, e.g. 0.1,0.07,0.05")
             sp.add_argument("--out", required=True)
-        sp.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for a rung's starts (0 = one per CPU "
-                             "that BLAS threads leave free)")
+            sp.add_argument("--jobs", type=int, default=0,
+                            help="at most this many worker processes for the ladder's "
+                                 "descents (0: one per CPU that BLAS threads leave free)")
         sp.add_argument("--grid-n", dest="grid_n", type=int, default=20001)
         sp.add_argument("--starts", type=int, default=5)
         sp.add_argument("--seed", type=int, default=0)

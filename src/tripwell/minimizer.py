@@ -43,7 +43,6 @@ class MinimizeOptions:
     grad_tol: float = 1e-4         # sup-norm stopping threshold
     starts: int = 5
     seed: int = 0
-    jobs: int = 0                  # worker processes for the starts; 0 = see workers
 
     def __post_init__(self):
         if self.grid_n < 3:
@@ -54,28 +53,68 @@ class MinimizeOptions:
             raise ParameterError("grad_tol must be finite and positive")
         if self.starts < 1:
             raise ParameterError("need at least one start")
-        if self.jobs < 0:
-            raise ParameterError("jobs must be at least 0")
 
-    @property
-    def workers(self) -> int:
-        """Worker processes for the starts: ``jobs``, or if it is 0 one per
-        available CPU that each worker's BLAS threads leave free.
 
-        OpenBLAS runs OPENBLAS_NUM_THREADS threads, else OMP_NUM_THREADS,
-        else one per CPU, and splits every dot product of more than 10,000
-        entries over them.  Workers that each run a thread per CPU fight for
-        the CPUs: on 2 CPUs with neither variable set, a rung at eps 0.07
-        took 21 s in one process and 40 s in two.  So without a thread count
-        the default is one process.
-        """
-        if self.jobs:
-            return self.jobs
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            threads = os.environ.get(var, "")
-            if threads.isdigit() and int(threads) > 0:
-                return max(1, len(os.sched_getaffinity(0)) // int(threads))
+# the variables that set a BLAS's threads per process, in the order it reads them
+BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+    "accelerate": ("VECLIB_MAXIMUM_THREADS",),
+}
+
+
+def _blas_names() -> list[str]:
+    """The BLAS that numpy and scipy were built against, "" where unknown."""
+    import scipy
+
+    names = []
+    for module in (np, scipy):
+        try:
+            names.append(module.__config__.CONFIG["Build Dependencies"]["blas"]["name"].lower())
+        except (AttributeError, KeyError, TypeError):
+            names.append("")
+    return names
+
+
+def _blas_threads() -> int | None:
+    """Threads per process of numpy's and scipy's BLAS, or None unless the
+    environment pins the thread count of both."""
+    most = 0
+    for name in _blas_names():
+        family = next((v for k, v in BLAS_THREAD_VARS.items() if k in name), ())
+        pins = [int(t) for t in map(os.environ.get, family) if t and t.isdigit() and int(t) > 0]
+        if not pins:
+            return None
+        most = max(most, pins[0])
+    return most
+
+
+def _workers(tasks: int) -> int:
+    """Worker processes for ``tasks`` descents: one per available CPU that
+    each worker's BLAS threads leave free, and one process when the BLAS
+    threads are not pinned or ``fork`` is missing.
+
+    OpenBLAS runs a thread per CPU unless told otherwise, and splits every
+    dot product of more than 10,000 entries over them.  Workers that each do
+    so fight for the CPUs: on 2 CPUs a rung at eps 0.07 took 21 s in one
+    process and 40 s in two.
+    """
+    if tasks < 2:
         return 1
+    threads = _blas_threads()
+    if threads is None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # macOS and Windows have no sched_getaffinity
+        cpus = os.cpu_count() or 1
+    workers = min(tasks, cpus // threads)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return max(1, workers)
 
 
 @dataclass(frozen=True)
@@ -248,56 +287,77 @@ def _descend(spec, eps: float, kind: str, init: GridFunction,
     return r
 
 
-def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
-                constants: LimitConstants | None = None) -> MinimizeResult:
-    """Run descent from every seed and return the argmin.
+def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: LimitConstants,
+                max_workers: int = 0) -> list[list[tuple[str, MinimizeResult | TripwellError]]]:
+    """Every start of every rung: (start kind, result or the error it raised).
 
-    Fully deterministic given ``opts.seed``; ties break on start order.  Seeds
-    that fail to construct or to take a single step are recorded and skipped;
-    if every start fails, the per-start reasons are aggregated.
-
-    The seeds are built here, in start order.  With ``opts.workers`` above 1
-    the descents run in a pool of forked worker processes that is joined
-    before this returns; each descent depends only on its seed and ``opts``,
-    so the result is the same for every ``jobs``.
+    The seeds are built here, rung by rung in start order.  With more than
+    one worker (``_workers``, at most ``max_workers`` unless that is 0) the
+    descents of the whole ladder run in a pool of forked worker processes
+    that is joined before this returns.  Each descent depends only on its
+    seed and ``opts``, so the results are the same for every worker count.
     """
-    c = constants if constants is not None else limit_constants(spec)
-    seeds: list[tuple[str, GridFunction | TripwellError]] = []
-    for kind, build in _seed_builders(spec, eps, opts, c):
-        try:
-            seeds.append((kind, build()))
-        except TripwellError as exc:
-            seeds.append((kind, exc))
-    tasks = [(kind, init) for kind, init in seeds if isinstance(init, GridFunction)]
-    workers = min(opts.workers, len(tasks))
+    rungs: list[list[tuple[str, GridFunction | TripwellError]]] = []
+    for eps in eps_list:
+        seeds = []
+        for kind, build in _seed_builders(spec, eps, opts, constants):
+            try:
+                seeds.append((kind, build()))
+            except TripwellError as exc:
+                seeds.append((kind, exc))
+        rungs.append(seeds)
+    tasks = [(eps, kind, init) for eps, seeds in zip(eps_list, rungs)
+             for kind, init in seeds if isinstance(init, GridFunction)]
+    workers = min(_workers(len(tasks)), max_workers or len(tasks))
     if workers > 1:
         # loaded here, so that importing the package or the CLI does not
         # pay for multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        # loaded before the fork, so that no worker loads it again
+        from scipy import optimize  # noqa: F401
+
         # fork starts neither a forkserver nor a resource tracker, and the
         # with block joins every worker
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = list(pool.map(_descend, repeat(spec), repeat(eps),
-                                     *zip(*tasks), repeat(opts)))
+            outcomes = list(pool.map(_descend, repeat(spec), *zip(*tasks), repeat(opts)))
     else:
-        outcomes = [_descend(spec, eps, kind, init, opts) for kind, init in tasks]
+        outcomes = [_descend(spec, eps, kind, init, opts) for eps, kind, init in tasks]
     done = iter(outcomes)
-    results: list[MinimizeResult] = []
-    failures: list[str] = []
-    for kind, init in seeds:
-        r = init if isinstance(init, TripwellError) else next(done)
-        if isinstance(r, TripwellError):
-            failures.append(f"{kind}: {r}")
-            continue
-        if r.u.grid is not init.grid:
-            # a profile back from a worker: share the seed's grid again, and
-            # read-only arrays with it (unpickled arrays are writeable)
-            r.u = GridFunction(init.grid, r.u.values, eps=r.u.eps, meta=r.u.meta)
-        results.append(r)
+    ladder = []
+    for seeds in rungs:
+        starts = []
+        for kind, init in seeds:
+            r = init if isinstance(init, TripwellError) else next(done)
+            if isinstance(r, MinimizeResult) and r.u.grid is not init.grid:
+                # a profile back from a worker: share the seed's grid again,
+                # and read-only arrays with it (unpickled arrays are writeable)
+                r.u = GridFunction(init.grid, r.u.values, eps=r.u.eps, meta=r.u.meta)
+            starts.append((kind, r))
+        ladder.append(starts)
+    return ladder
+
+
+def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
+                constants: LimitConstants | None = None,
+                starts: list[tuple[str, MinimizeResult | TripwellError]] | None = None,
+                ) -> MinimizeResult:
+    """Run descent from every seed and return the argmin.
+
+    Fully deterministic given ``opts.seed``; ties break on start order.  Seeds
+    that fail to construct or to take a single step are recorded and skipped;
+    if every start fails, the per-start reasons are aggregated.  ``starts``
+    are the finished starts of this rung when ``epsilon_sweep`` ran them
+    with the rest of its ladder (see ``_run_starts``).
+    """
+    if starts is None:
+        c = constants if constants is not None else limit_constants(spec)
+        starts, = _run_starts(spec, [eps], opts, c)
+    results = [r for _, r in starts if isinstance(r, MinimizeResult)]
     if not results:
-        raise ConstructionError("all starts failed: " + "; ".join(failures))
+        raise ConstructionError("all starts failed: " + "; ".join(
+            f"{kind}: {r}" for kind, r in starts))
     best = min(range(len(results)), key=lambda i: (results[i].value, i))
     out = results[best]
     out.per_start = [StartRecord(r.start_kind, r.value, r.converged, len(r.u),
@@ -306,23 +366,29 @@ def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
 
 
 def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
-                  constants: LimitConstants | None = None) -> list[SweepRecord]:
+                  constants: LimitConstants | None = None,
+                  max_workers: int = 0) -> list[SweepRecord]:
     """Multi-start minimization along a decreasing eps ladder.
 
-    Volume fractions are evaluated at eta = eps^(1/(q+1)); layer counts use
+    The descents of every rung run together (``_run_starts``, at most
+    ``max_workers`` worker processes unless that is 0); each rung's winner
+    is then picked by ``multi_start``.  Volume fractions are evaluated at
+    eta = eps^(1/(q+1)); layer counts use
     the same eta capped below the band-degeneracy bound (at moderate eps the
     natural window is too wide for the layer definitions to make sense).
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
         raise ParameterError("eps ladder must be strictly decreasing")
+    if max_workers < 0:
+        raise ParameterError("max_workers must be at least 0")
     c = constants if constants is not None else limit_constants(spec)
     q = coercivity_exponent(spec)
     z1, z2, z3 = spec.wells
     eta_layer_cap = 0.45 * min(z2 - z1, z3 - z2)
     records: list[SweepRecord] = []
-    for eps in eps_list:
-        best = multi_start(spec, eps, opts, c)
+    for eps, starts in zip(eps_list, _run_starts(spec, eps_list, opts, c, max_workers)):
+        best = multi_start(spec, eps, opts, c, starts)
         eta = eps ** (1.0 / (q + 1.0))
         vf = volume_fractions(best.u, spec, min(eta, 0.5 * (z3 - z1) - 1e-9))
         layers = transition_layers(best.u, spec, min(eta, eta_layer_cap))

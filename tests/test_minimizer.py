@@ -141,25 +141,69 @@ def test_sweep_deterministic(ex1, c1):
 def test_options_validation():
     for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-4}, {"grad_tol": np.nan},
                 {"grad_tol": np.inf}, {"starts": 0}, {"grid_n": 2},
-                {"max_iters": 0}, {"max_iters": -1}, {"jobs": -1}):
+                {"max_iters": 0}, {"max_iters": -1}):
         with pytest.raises(ParameterError):
             MinimizeOptions(**bad)
     MinimizeOptions(grid_n=3, max_iters=1)
 
 
+def test_sweep_rejects_negative_max_workers(ex1, c1):
+    with pytest.raises(ParameterError):
+        epsilon_sweep(ex1, [0.1], FAST, c1, max_workers=-1)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+             "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
 def test_default_workers_leave_room_for_blas_threads(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
-    assert MinimizeOptions().workers == 1          # OpenBLAS takes every CPU
+    monkeypatch.setattr(minimizer, "_blas_names", lambda: ["scipy-openblas"] * 2)
+    assert minimizer._workers(5) == 1              # OpenBLAS takes every CPU
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert MinimizeOptions().workers == cpus
+    assert minimizer._workers(5) == min(5, cpus)
+    assert minimizer._workers(1) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus))
-    assert MinimizeOptions().workers == 1
-    assert MinimizeOptions(jobs=3).workers == 3
+    assert minimizer._workers(5) == 1
+    # MKL reads its own variable first; an unknown BLAS is never pinned
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert minimizer._workers(5) == 1
+    monkeypatch.setattr(minimizer, "_blas_names", lambda: ["mkl-sdl", "mkl"])
+    assert minimizer._workers(5) == min(5, cpus)
+    monkeypatch.setattr(minimizer, "_blas_names", lambda: ["mkl", ""])
+    assert minimizer._workers(5) == 1
 
 
-POOLED = MinimizeOptions(starts=3, seed=3, max_iters=20, grid_n=4001, jobs=2)
+def test_default_workers_without_affinity_or_fork(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(minimizer, "_blas_names", lambda: ["openblas"] * 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert minimizer._workers(5) == 4
+    # Windows has no fork: the starts run in this process
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert minimizer._workers(5) == 1
+
+
+def test_blas_names_read_the_build_config():
+    names = minimizer._blas_names()
+    assert len(names) == 2 and all(isinstance(n, str) for n in names)
+
+
+POOLED = MinimizeOptions(starts=3, seed=3, max_iters=20, grid_n=4001)
+
+
+@pytest.fixture()
+def pooled(monkeypatch):
+    """Run the descents in two worker processes whatever the BLAS pins."""
+    monkeypatch.setattr(minimizer, "_workers", lambda tasks: min(2, tasks))
 
 
 def assert_no_child_process():
@@ -168,8 +212,10 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_pooled_starts_match_serial(ex1, c1):
-    serial = multi_start(ex1, 0.1, MinimizeOptions(**{**vars(POOLED), "jobs": 1}), c1)
+def test_pooled_starts_match_serial(ex1, c1, monkeypatch):
+    monkeypatch.setattr(minimizer, "_workers", lambda tasks: 1)
+    serial = multi_start(ex1, 0.1, POOLED, c1)
+    monkeypatch.setattr(minimizer, "_workers", lambda tasks: min(2, tasks))
     pooled = multi_start(ex1, 0.1, POOLED, c1)
     assert pooled.value == serial.value
     assert pooled.history == serial.history
@@ -182,7 +228,17 @@ def test_pooled_starts_match_serial(ex1, c1):
     assert_no_child_process()
 
 
-def test_pooled_winner_shares_the_seed_grid(ex1, c1, monkeypatch):
+def test_pooled_ladder_matches_serial_rung_by_rung(ex1, c1, pooled):
+    # one pool over every start of the ladder, winners picked rung by rung
+    ladder = epsilon_sweep(ex1, [0.1, 0.07], POOLED, c1)
+    assert_no_child_process()
+    rungs = [epsilon_sweep(ex1, [eps], POOLED, c1, max_workers=1)[0] for eps in (0.1, 0.07)]
+    assert ladder == rungs
+    assert [[s.start_kind for s in r.per_start] for r in ladder] == \
+        [["two-well", "three-well", "random-0"]] * 2
+
+
+def test_pooled_winner_shares_the_seed_grid(ex1, c1, pooled, monkeypatch):
     built = []
 
     def record(*args, **kwargs):
@@ -197,7 +253,7 @@ def test_pooled_winner_shares_the_seed_grid(ex1, c1, monkeypatch):
         assert not a.flags.writeable
 
 
-def test_pool_records_a_start_that_raises_in_a_worker(ex1, c1, monkeypatch):
+def test_pool_records_a_start_that_raises_in_a_worker(ex1, c1, pooled, monkeypatch):
     descend = minimizer.minimize_Ieps
 
     def fail_three_well(spec, eps, init, opts):
@@ -222,7 +278,7 @@ def test_pool_records_a_start_that_raises_in_a_worker(ex1, c1, monkeypatch):
     assert_no_child_process()
 
 
-def test_pool_leaves_no_child_when_a_worker_crashes(ex1, c1, monkeypatch):
+def test_pool_leaves_no_child_when_a_worker_crashes(ex1, c1, pooled, monkeypatch):
     def crash(spec, eps, init, opts):
         raise RuntimeError("not a TripwellError")
 
