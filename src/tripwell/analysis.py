@@ -105,7 +105,7 @@ def volume_fractions(u: GridFunction, spec: PotentialSpec, eta: float) -> Volume
     neighbourhoods may overlap, so the partition identity is off the table.
     """
     z1, z2, z3 = spec.wells
-    if eta <= 0.0 or eta >= 0.5 * (z3 - z1):
+    if not 0.0 < eta < 0.5 * (z3 - z1):
         raise ParameterError("eta must lie in (0, (z3-z1)/2)")
     s = u.slopes()
     h = u.cell_widths()
@@ -156,7 +156,7 @@ def transition_layers(u: GridFunction, spec: PotentialSpec, eta: float) -> list[
     its wells: no value then lies strictly inside it.
     """
     z1, z2, z3 = spec.wells
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ParameterError("eta must be positive")
     x, v = u.midpoints(), u.slopes()
     layers = (_band_layers(x, v, z1 + eta, z2 - eta, "A+", "A-")
@@ -181,8 +181,12 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
     """
     if not u.eps > 0.0:
         raise ParameterError("interval classification needs the profile's eps")
+    if not eta > 0.0:
+        raise ParameterError("eta must be positive")
     _, z2, z3 = spec.wells
     r_lo, r_hi = thresholds
+    if not 0.0 <= r_lo < r_hi:
+        raise ParameterError("thresholds must satisfy 0 <= R_lo < R_hi")
     if layers is None:
         layers = transition_layers(u, spec, eta)
     a_band = [L for L in layers if L.kind[0] == "A"]

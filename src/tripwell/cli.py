@@ -156,10 +156,10 @@ def _require_yhat(args):
 def _cmd_energy(args, t0):
     spec, dig = _load_spec(args)
     gf = GridFunction.load(args.profile)
-    eps = args.eps if args.eps is not None else gf.eps
-    if eps <= 0.0:
+    if args.eps is None and gf.eps == 0.0:
         raise _UsageError("profile carries no eps; pass --eps")
-    br = energy_Ieps(gf, eps, spec)
+    # a given --eps, valid or not, goes to energy_Ieps, which checks it
+    br = energy_Ieps(gf, gf.eps if args.eps is None else args.eps, spec)
     _emit("energy", dig, _options(args), t0, {"energy": br.as_dict()})
     return 0
 

@@ -51,6 +51,10 @@ class Grid:
         self.nodes = _frozen(nodes)
         self.widths = _frozen(widths)
 
+    def __reduce__(self):
+        # rebuilt through the constructor: read-only again, caches recomputed
+        return Grid, (self.nodes,)
+
     @functools.cached_property
     def midpoints(self) -> np.ndarray:
         return _frozen(0.5 * (self.nodes[:-1] + self.nodes[1:]))
@@ -105,6 +109,11 @@ class GridFunction:
                     raise GridError("boundary values must vanish")
                 values[k] = 0.0
         self.values = _frozen(values)
+
+    def __reduce__(self):
+        # a pickle carries nodes, values, eps and meta; the constructor makes
+        # the arrays read-only again and recomputes the grid and slopes
+        return GridFunction, (self.nodes, self.values, self.eps, self.meta)
 
     def __len__(self) -> int:
         return len(self.nodes)

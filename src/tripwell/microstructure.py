@@ -19,6 +19,11 @@ Built on top of that:
 * periodic competitor profiles realizing prescribed volume-fraction triples
   (lambda1, lambda2, lambda3) with gradient patterns z2|z3|z1 or z1|z2|z3|z1,
   used to probe the structural hypotheses H7/H8.
+
+Every tooth and every competitor period gets an exactly zero discrete mean,
+so u vanishes at its ends, from one mean-removal step (``_zero_mean``): a
+shift s of one gradient jump trades one plateau value for the other, and
+s -= m / slope removes the trapezoid mean m until it is at rounding level.
 """
 
 from __future__ import annotations
@@ -156,13 +161,14 @@ def solve_transition_ode(spec: PotentialSpec, eps: float, branch: str,
 
 
 # ---------------------------------------------------------------------------
-# tooth grids and discrete zero means
+# piece grids and the zero-mean step
 # ---------------------------------------------------------------------------
 
 LAYER_RES = 96            # grid steps per eps^3 across a transition layer
 TOOTH_PLATEAU_PTS = 49    # coarse nodes across one tooth
 PERIOD_PLATEAU_PTS = 129  # coarse nodes across one competitor period
 TOOTH_MARGIN = 4.0        # eps^3 units of window beyond a tooth's transition
+ZERO_MEAN_STEPS = 12      # mean-removal steps before a piece is given up
 
 
 def _piece_nodes(l: float, coarse: np.ndarray, windows, eps: float) -> np.ndarray:
@@ -184,31 +190,22 @@ def _piece_nodes(l: float, coarse: np.ndarray, windows, eps: float) -> np.ndarra
     return pts
 
 
-def _discrete_zero_shift(eval_w, rel: np.ndarray, bracket: tuple[float, float]):
-    """Bisect the shift until the tooth's trapezoid mean vanishes."""
-    dr = np.diff(rel)
+def _zero_mean(piece, slope: float, scale: float):
+    """Shift s at which the trapezoid mean of piece(s) = (nodes, values) vanishes.
 
-    def F(om):
-        v = eval_w(rel - om)
-        return float(np.dot(dr, 0.5 * (v[:-1] + v[1:])))
-
-    lo, hi = bracket
-    flo, fhi = F(lo), F(hi)
-    if flo < 0.0 or fhi > 0.0:
-        raise ConstructionError("zero-mean shift bracket does not straddle the root")
-    vals = eval_w(rel - 0.5 * (lo + hi))
-    tol = 1e-16 * (rel[-1] - rel[0]) * max(1.0, float(np.max(np.abs(vals))))
-    om = 0.5 * (lo + hi)
-    for _ in range(200):
-        om = 0.5 * (lo + hi)
-        f = F(om)
-        if abs(f) <= tol or hi - lo < 1e-18:
-            break
-        if f > 0.0:
-            lo = om
-        else:
-            hi = om
-    return om, eval_w(rel - om)
+    Each step removes the mean m through the plateau trade, s -= m / slope,
+    where slope is the difference of the two plateau values the shift
+    exchanges, until |m| <= 1e-15 * scale.  Returns (s, nodes, values).
+    """
+    s = 0.0
+    for _ in range(ZERO_MEAN_STEPS):
+        nodes, vals = piece(s)
+        m = float(np.dot(np.diff(nodes), 0.5 * (vals[:-1] + vals[1:])))
+        if abs(m) <= 1e-15 * scale:
+            return s, nodes, vals
+        s -= m / slope
+    raise ConstructionError(f"zero-mean step left a mean of {m:.3g} after "
+                            f"{ZERO_MEAN_STEPS} steps")
 
 
 def _assemble_pieces(a: float, b: float, l: float,
@@ -229,27 +226,34 @@ def _assemble_pieces(a: float, b: float, l: float,
                             eps=eps, meta=meta)
 
 
-def _sawtooth(eval_w, interval: tuple[float, float], n: int, lo: float, hi: float,
-              om0: float, halfwidth: float, eps: float, meta: dict) -> GridFunction:
+def _sawtooth(transition, plateaus: tuple[float, float], interval: tuple[float, float],
+              n: int, om0: float, bound: float, eps: float, meta: dict) -> GridFunction:
     """n teeth on the interval, rising and falling in turn, each of zero mean.
 
-    The rising tooth's transition eval_w(r - om) has its fine window [lo, hi]
-    centred on the unshifted position om0, with TOOTH_MARGIN*eps^3 to spare
-    on each side.  When the zero-mean shift om moves the transition further
-    than that, the grid is rebuilt around om and the bisection runs again on
-    it.  A falling tooth takes the rising tooth's nodes and values mirrored.
-    The shift is stored as meta["omega_star"].
+    The rising tooth carries transition = (fn, lo, hi) from plateaus[0] to
+    plateaus[1] at om0 + s, where the zero-mean shift s trades one plateau
+    for the other.  The fine window spans [lo, hi] with TOOTH_MARGIN*eps^3 to
+    spare on each side, centred on om0 while |s| stays within that margin
+    and on om0 + s beyond it.  A shift beyond ``bound`` is inadmissible.  A
+    falling tooth takes the rising tooth's nodes and values mirrored.  The
+    transition position om0 + s is stored as meta["omega_star"].
     """
     a, b = interval
     l = (b - a) / n
+    fn, lo, hi = transition
+    za, zb = plateaus
+    margin = TOOTH_MARGIN * eps**3
     coarse = np.linspace(0.0, l, TOOTH_PLATEAU_PTS)
-    bracket = (om0 - halfwidth, om0 + halfwidth)
-    rel = _piece_nodes(l, coarse, [(lo, hi)], eps)
-    om, w = _discrete_zero_shift(eval_w, rel, bracket)
-    if abs(om - om0) > TOOTH_MARGIN * eps**3:
-        rel = _piece_nodes(l, coarse, [(lo + (om - om0), hi + (om - om0))], eps)
-        om, w = _discrete_zero_shift(eval_w, rel, bracket)
-    meta["omega_star"] = om
+
+    def piece(s):
+        at = om0 + s if abs(s) > margin else om0
+        rel = _piece_nodes(l, coarse, [(at + lo - margin, at + hi + margin)], eps)
+        return rel, fn(rel - (om0 + s))
+
+    s, rel, w = _zero_mean(piece, za - zb, l * max(abs(za), abs(zb)))
+    if not abs(s) <= bound:
+        raise ConstructionError("eps too large: no admissible zero-mean shift")
+    meta["omega_star"] = om0 + s
     up, down = (rel, w), (l - rel[::-1], w[::-1])
     teeth = [up if i % 2 == 0 else down for i in range(n)]
     return _assemble_pieces(a, b, l, teeth, eps, meta)
@@ -292,16 +296,10 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
             f"tooth rule gives N={N}, minimal admissible N is 2"
         )
     l = length / N
-    tab = _lower_branch(spec)
     om0 = l * z2 / (z2 - z1)
-    ext_lo, ext_hi = tab.extent
-
-    def eval_w(s):
-        return tab.w_at_scaled(np.asarray(s) / eps**3)
-
     return _sawtooth(
-        eval_w, interval, N, om0 + eps**3 * (ext_lo - TOOTH_MARGIN),
-        om0 + eps**3 * (ext_hi + TOOTH_MARGIN), om0, min(0.2 * l, om0, l - om0), eps,
+        _transition_fn(spec, eps, z1, z2), (z1, z2), interval, N, om0,
+        min(0.2 * l, om0, l - om0), eps,
         meta={"kind": "two-well", "N": N, "omega_star": None,
               "l_N": l, "d_eps": l / eps, "d_star": c.d_star})
 
@@ -347,12 +345,9 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
         raise ConstructionError("eps too large: transition does not fit inside a tooth")
 
     om0 = l * z3 / (z3 - z1)
-    halfwidth = min(0.2 * l, om0 - max(0.0, -s_min), l - om0 - max(0.0, s_max))
-    if halfwidth <= 0.0:
-        raise ConstructionError("eps too large: no admissible zero-mean shift")
     return _sawtooth(
-        rise, interval, M, om0 + s_min - TOOTH_MARGIN * eps**3,
-        om0 + s_max + TOOTH_MARGIN * eps**3, om0, halfwidth, eps,
+        (rise, s_min, s_max), (z1, z3), interval, M, om0,
+        min(0.2 * l, om0 - max(0.0, -s_min), l - om0 - max(0.0, s_max)), eps,
         meta={"kind": "three-well", "M": M, "omega_star": None, "l_M": l,
               "h_eps": l / eps, "h_star": c.h_star, "mu": _bridge_mu(spec, eps)})
 
@@ -422,8 +417,8 @@ def _pair_cost(spec: PotentialSpec, constants: LimitConstants,
 
 
 def _competitor_lambdas(constants: LimitConstants, yhat: float) -> tuple[float, float, float]:
-    if yhat < 0.0:
-        raise ParameterError("yhat must be nonnegative")
+    if not 0.0 <= yhat < np.inf:
+        raise ParameterError("yhat must be finite and nonnegative")
     lam2 = 1.0 / (yhat * constants.z31 + constants.z21)
     lam3 = yhat * lam2
     lam1 = 1.0 - lam2 - lam3
@@ -526,22 +521,21 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
         raise ConstructionError("pattern must start and end on the same plateau")
     z1, _, z3 = spec.wells
 
-    # pick the interior boundary with the largest gradient jump and nudge it
-    # until the discrete period mean vanishes (it moves by O(eps^3))
+    # the zero-mean step moves the interior boundary with the largest
+    # gradient jump (by O(eps^3))
     jumps = [abs(zvals[j + 1] - zvals[j]) for j in range(len(zvals) - 1)]
     jstar = int(np.argmax(jumps))
-    nodes = vals = None
-    for _ in range(6):
-        nodes, vals = _build_period(spec, eps, zvals, widths)
-        m = float(np.dot(np.diff(nodes), 0.5 * (vals[:-1] + vals[1:])))
-        if abs(m) <= 1e-15 * T * max(abs(z1), z3):
-            break
-        delta = -m / (zvals[jstar] - zvals[jstar + 1])
-        widths[jstar] += delta
-        widths[jstar + 1] -= delta
-        if widths[jstar] <= 0.0 or widths[jstar + 1] <= 0.0:
-            raise ConstructionError("zero-mean correction exhausted a plateau")
 
+    def piece(s):
+        w = widths.copy()
+        w[jstar] += s
+        w[jstar + 1] -= s
+        if w[jstar] <= 0.0 or w[jstar + 1] <= 0.0:
+            raise ConstructionError("zero-mean correction exhausted a plateau")
+        return _build_period(spec, eps, zvals, w)
+
+    _, nodes, vals = _zero_mean(piece, zvals[jstar] - zvals[jstar + 1],
+                                T * max(abs(z1), z3))
     return _assemble_pieces(0.0, 1.0, T, [(nodes, vals)] * periods, eps, meta={})
 
 

@@ -331,8 +331,8 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
         for kind, init in seeds:
             r = init if isinstance(init, TripwellError) else next(done)
             if isinstance(r, MinimizeResult) and r.u.grid is not init.grid:
-                # a profile back from a worker: share the seed's grid again,
-                # and read-only arrays with it (unpickled arrays are writeable)
+                # a profile back from a worker comes with a grid of its own,
+                # rebuilt from the pickled nodes: share the seed's grid again
                 r.u = GridFunction(init.grid, r.u.values, eps=r.u.eps, meta=r.u.meta)
             starts.append((kind, r))
         ladder.append(starts)

@@ -203,12 +203,31 @@ def test_exit_codes(spec_files, tmp_path):
                 ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--max-iters", "0"],
                 ["minimize", "--eps", "0.1", "--out", str(tmp_path / "m.json"),
                  "--grad-tol", "nan"],
-                ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--jobs", "-1"]):
+                ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--jobs", "-1"],
+                ["construct", "--eps", "0.07", "--kind", "h7", "--yhat", "nan",
+                 "--out", str(tmp_path / "x.json")],
+                ["construct", "--eps", "0.07", "--kind", "h8", "--yhat", "inf",
+                 "--out", str(tmp_path / "x.json")]):
         r = run_cli(*cmd, "--potential", p1)
         assert r.returncode == 2, cmd
         assert r.stderr.startswith("{"), cmd           # no warnings ahead of the error
         assert json.loads(r.stderr)["error"]["type"] == "ParameterError", cmd
     assert not any((tmp_path / name).exists() for name in ("x.json", "s.csv", "m.json"))
+    # a given --eps or --eta is checked, not replaced by a default: exit 2
+    prof = tmp_path / "p.json"
+    GridFunction(np.linspace(0.0, 1.0, 11), np.zeros(11), eps=0.1).save(prof)
+    for cmd, err in ((["energy", "--eps", "-0.05"], "GridError"),
+                     (["energy", "--eps", "nan"], "GridError"),
+                     (["analyze", "--eta", "nan"], "ParameterError")):
+        r = run_cli(*cmd, "--profile", str(prof), "--potential", p1)
+        assert r.returncode == 2, cmd
+        assert json.loads(r.stderr)["error"] == {"type": err, "message": {
+            "GridError": "eps must be positive",
+            "ParameterError": "eta must lie in (0, (z3-z1)/2)"}[err]}, cmd
+    # only an absent --eps falls back to the profile's, which must be set
+    GridFunction(np.linspace(0.0, 1.0, 11), np.zeros(11)).save(prof)
+    r = run_cli("energy", "--profile", str(prof), "--potential", p1)
+    assert r.returncode == 1 and "profile carries no eps" in r.stderr
     # malformed input files: exit 2 with a JSON error, not a traceback
     bad = tmp_path / "bad.json"
     for doc in ({}, None, [1, 2], {"nodes": [0.0, 0.5, 1.0]},

@@ -273,3 +273,22 @@ def test_parameter_guards(ex1):
     for y_max in (5.0, np.nan, np.inf):
         with pytest.raises(ParameterError):
             check_hypotheses(ex1, y_max=y_max)
+    from tripwell import GridFunction
+    from tripwell.analysis import d_intervals, measure_report, transition_layers, volume_fractions
+    from tripwell.microstructure import competitor_plan
+
+    x = np.linspace(0.0, 1.0, 201)
+    u = GridFunction(x, 0.01 * np.sin(8.0 * np.pi * x), eps=0.05)
+    for eta in (np.nan, 0.0, -0.1):
+        for check in (measure_report, volume_fractions, transition_layers, d_intervals):
+            with pytest.raises(ParameterError, match="eta"):
+                check(u, ex1, eta)
+    for thresholds in ((np.nan, 10.0), (0.1, np.nan), (-0.1, 10.0), (10.0, 0.1)):
+        with pytest.raises(ParameterError, match="thresholds"):
+            d_intervals(u, ex1, 0.1, thresholds)
+        with pytest.raises(ParameterError, match="thresholds"):
+            measure_report(u, ex1, 0.1, thresholds=thresholds)
+    for yhat in (np.nan, np.inf, -0.5):
+        for kind in ("h7", "h8"):
+            with pytest.raises(ParameterError, match="yhat"):
+                competitor_plan(ex1, kind, yhat)

@@ -1,3 +1,6 @@
+import pickle
+from multiprocessing.reduction import ForkingPickler
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,26 @@ def test_cached_geometry_is_computed_once_and_exact():
     assert grid.interior_weights is grid.interior_weights
     assert np.array_equal(grid.interior_weights, w)
     assert not (grid.width_pairs.flags.writeable or grid.interior_weights.flags.writeable)
+
+
+@pytest.mark.parametrize("dumps", [
+    pickle.dumps, lambda obj: bytes(ForkingPickler.dumps(obj, 4))], ids=["pickle", "forking"])
+def test_pickle_round_trip_keeps_arrays_read_only(dumps):
+    x, v = sample_profile()
+    u = GridFunction(x, v, eps=0.07, meta={"kind": "test"})
+    u.slopes()
+    u.midpoints()
+    data = dumps(u)
+    w = pickle.loads(data)
+    assert np.array_equal(w.nodes, u.nodes) and np.array_equal(w.values, u.values)
+    assert (w.eps, w.meta) == (0.07, {"kind": "test"})
+    for arr in (w.nodes, w.values, w.cell_widths(), w.slopes(), w.midpoints()):
+        assert not arr.flags.writeable
+    assert w.nodes is w.grid.nodes
+    # the pickle carries nodes and values, not the cached geometry
+    assert len(data) < 3 * u.nodes.nbytes
+    g = pickle.loads(dumps(u.grid))
+    assert np.array_equal(g.nodes, u.nodes) and not g.nodes.flags.writeable
 
 
 def test_with_values_shares_the_grid():

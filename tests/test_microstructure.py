@@ -20,10 +20,10 @@ from tripwell.errors import ConstructionError, GridError, ParameterError
 from tripwell.microstructure import (
     LAYER_RES,
     _bridge_mu,
-    _discrete_zero_shift,
     _lower_branch,
     _rise_table,
     _upper_branch,
+    _zero_mean,
     competitor_plan,
     two_well_count,
 )
@@ -96,26 +96,31 @@ def test_layer_width_scaling(ex1):
     assert widths[0.05] == pytest.approx(predicted, rel=0.05)
 
 
-def _zero_shift(wave, period):
-    return _discrete_zero_shift(wave, np.linspace(0.0, period, 20_001),
-                                (-period, 2.0 * period))
+def _zero_shift(wave, period, plateaus):
+    """Zero-mean shift of wave(s - om) on a uniform grid over one period."""
+    s = np.linspace(0.0, period, 20_001)
+    lo, hi = plateaus
+    return _zero_mean(lambda om: (s, wave(s - om)), lo - hi,
+                      period * max(abs(lo), abs(hi)))
 
 
 def test_zero_mean_shift_symmetric_wave():
     period = 0.4
-    omega, _ = _zero_shift(lambda s: np.tanh(s / 0.02), period)
+    omega, _, _ = _zero_shift(lambda s: np.tanh(s / 0.02), period, (-1.0, 1.0))
     assert omega == pytest.approx(period / 2.0, abs=1e-9)
 
 
 def test_zero_mean_shift_definitional_recheck(ex1):
     eps = 0.08
     period = 0.25
-    omega, shifted = _zero_shift(lambda s: _wave(ex1, eps, s), period)
+    z1, z2, _ = ex1.wells
+    omega, nodes, shifted = _zero_shift(lambda s: _wave(ex1, eps, s), period, (z1, z2))
     s = np.linspace(0.0, period, 20_001)
     vals = _wave(ex1, eps, s - omega)
+    assert np.array_equal(nodes, s)
     assert np.array_equal(shifted, vals)
     residual = abs(float(np.dot(np.diff(s), 0.5 * (vals[:-1] + vals[1:]))))
-    assert residual <= 1e-12 * period * np.max(np.abs(vals)) * 1.001
+    assert residual <= 1e-15 * period * max(abs(z1), abs(z2))
 
 
 def _wave(spec, eps, s):
@@ -124,8 +129,28 @@ def _wave(spec, eps, s):
 
 
 def test_zero_mean_shift_bad_bracket(ex1):
-    with pytest.raises(ConstructionError):
-        _zero_shift(lambda s: np.abs(s) + 1.0, 0.3)
+    # a piece whose mean has no zero exhausts the step limit
+    with pytest.raises(ConstructionError, match="steps"):
+        _zero_shift(lambda s: np.abs(s) + 1.0, 0.3, (1.0, 2.0))
+
+
+def test_competitor_mean_that_never_vanishes_raises(ex2, c2, monkeypatch):
+    # a period whose mean the boundary shift cannot move is refused, not
+    # returned with its mean left over
+    from tripwell import microstructure
+
+    build = microstructure._build_period
+    plan = competitor_plan(ex2, "h7", 0.585, c2)
+    periods = microstructure.competitor_period_count(ex2, 0.05, plan)
+    widths = np.array([w for _, w in plan.segments]) / periods
+
+    def stuck(spec, eps, zvals, _widths):
+        nodes, vals = build(spec, eps, zvals, widths)
+        return nodes, vals + 1e-9
+
+    monkeypatch.setattr(microstructure, "_build_period", stuck)
+    with pytest.raises(ConstructionError, match="steps"):
+        microstructure._build_periodic_pattern(ex2, 0.05, plan, periods)
 
 
 def test_tooth_positive_fraction_approaches_limit(ex1, c1):
