@@ -164,6 +164,13 @@ def transition_layers(u: GridFunction, spec: PotentialSpec, eta: float) -> list[
     return sorted(layers, key=lambda L: L.span[0])
 
 
+def _check_thresholds(thresholds: tuple[float, float]) -> tuple[float, float]:
+    r_lo, r_hi = thresholds
+    if not 0.0 <= r_lo < r_hi:
+        raise ParameterError("thresholds must satisfy 0 <= R_lo < R_hi")
+    return r_lo, r_hi
+
+
 def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
                 thresholds: tuple[float, float] = (0.1, 10.0),
                 layers: Optional[list[TransitionLayer]] = None) -> list[DInterval]:
@@ -184,9 +191,7 @@ def d_intervals(u: GridFunction, spec: PotentialSpec, eta: float,
     if not eta > 0.0:
         raise ParameterError("eta must be positive")
     _, z2, z3 = spec.wells
-    r_lo, r_hi = thresholds
-    if not 0.0 <= r_lo < r_hi:
-        raise ParameterError("thresholds must satisfy 0 <= R_lo < R_hi")
+    r_lo, r_hi = _check_thresholds(thresholds)
     if layers is None:
         layers = transition_layers(u, spec, eta)
     a_band = [L for L in layers if L.kind[0] == "A"]
@@ -327,8 +332,10 @@ def measure_report(u: GridFunction, spec: PotentialSpec, eta: float,
     """Assemble the full diagnostic report for a profile.
 
     The layers are scanned once and shared with the d-interval pairing; the
-    slopes and cell widths are the profile's own cached arrays.
+    slopes and cell widths are the profile's own cached arrays.  The
+    thresholds are checked even when the profile has no eps to classify with.
     """
+    _check_thresholds(thresholds)
     vf = volume_fractions(u, spec, eta)
     layers = transition_layers(u, spec, eta)
     counts = {k: sum(1 for L in layers if L.kind == k)

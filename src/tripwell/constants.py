@@ -129,7 +129,7 @@ def eval_f(spec: PotentialSpec, which: str, y,
            constants: LimitConstants | None = None):
     """Evaluate f6, f7, f8, or the defect term f0 at ratio(s) y >= 0."""
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
+    if not np.all(y >= 0.0):                   # NaN fails this too
         raise ParameterError("ratio y must be nonnegative")
     c = constants if constants is not None else limit_constants(spec)
     z1, z2, z3 = spec.wells

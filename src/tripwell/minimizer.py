@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -22,8 +23,8 @@ import numpy as np
 
 from .analysis import transition_layers, volume_fractions
 from .constants import LimitConstants, check_hypotheses, limit_constants
-from .energy import _ieps_objective, energy_gradient, energy_Ieps
-from .errors import ConstructionError, ParameterError, TripwellError
+from .energy import _ieps_objective
+from .errors import ConstructionError, NumericError, ParameterError, TripwellError
 from .grids import GridFunction
 from .microstructure import (
     build_h7_competitor,
@@ -33,6 +34,12 @@ from .microstructure import (
     two_well_count,
 )
 from .potential import coercivity_exponent
+
+MEMORY = 12                    # correction pairs kept by the L-BFGS descent
+ARMIJO = 1e-4                  # sufficient-decrease constant of the line search
+CURVATURE = 0.9                # weak-Wolfe curvature constant
+MAX_TRIALS = 20                # energy evaluations per line search
+
 
 @dataclass(frozen=True)
 class MinimizeOptions:
@@ -63,30 +70,20 @@ BLAS_THREAD_VARS = {
 }
 
 
-def _blas_names() -> list[str]:
-    """The BLAS that numpy and scipy were built against, "" where unknown."""
-    import scipy
-
-    names = []
-    for module in (np, scipy):
-        try:
-            names.append(module.__config__.CONFIG["Build Dependencies"]["blas"]["name"].lower())
-        except (AttributeError, KeyError, TypeError):
-            names.append("")
-    return names
+def _blas_name() -> str:
+    """The BLAS that numpy was built against, "" where unknown."""
+    try:
+        return np.__config__.CONFIG["Build Dependencies"]["blas"]["name"].lower()
+    except (AttributeError, KeyError, TypeError):
+        return ""
 
 
 def _blas_threads() -> int | None:
-    """Threads per process of numpy's and scipy's BLAS, or None unless the
-    environment pins the thread count of both."""
-    most = 0
-    for name in _blas_names():
-        family = next((v for k, v in BLAS_THREAD_VARS.items() if k in name), ())
-        pins = [int(t) for t in map(os.environ.get, family) if t and t.isdigit() and int(t) > 0]
-        if not pins:
-            return None
-        most = max(most, pins[0])
-    return most
+    """Threads per process of numpy's BLAS, or None unless the environment
+    pins them."""
+    family = next((v for k, v in BLAS_THREAD_VARS.items() if k in _blas_name()), ())
+    pins = [int(t) for t in map(os.environ.get, family) if t and t.isdigit() and int(t) > 0]
+    return pins[0] if pins else None
 
 
 def _workers(tasks: int) -> int:
@@ -127,6 +124,7 @@ class StartRecord:
     n_nodes: int
     iterations: int
     n_fev: int
+    reason: str                    # why the descent stopped (MinimizeResult.reason)
     descent_s: float = field(default=0.0, compare=False)
 
 
@@ -137,6 +135,7 @@ class MinimizeResult:
     converged: bool
     iterations: int
     n_fev: int = 0                 # objective evaluations of the descent
+    reason: str = ""               # "grad_tol", "max_iters" or "line_search"
     start_kind: str = ""
     history: list = field(default_factory=list)
     per_start: list = field(default_factory=list)   # a StartRecord per start
@@ -168,52 +167,147 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
                   opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
     """Descend the discrete rescaled energy from ``init`` over interior values.
 
-    L-BFGS-B with the exact gradient; each objective evaluation is one pass
-    of the energy kernel over the geometry of ``init``'s grid.  ``history``
-    holds the energy of ``init`` and then the energy at each accepted iterate
-    (``iterations + 1`` entries, nonincreasing); ``n_fev`` counts the
-    objective evaluations.  The best
-    evaluated point is returned even when the line search stalls
-    (``converged`` is False then).
+    Unconstrained L-BFGS with the exact gradient (Nocedal & Wright, ch. 7):
+    the two-loop recursion over the newest ``MEMORY`` correction pairs and a
+    weak-Wolfe line search (``_wolfe_step``).  Each objective evaluation is
+    one pass of the energy kernel over the geometry of ``init``'s grid, and
+    every accepted step lowers ``I_eps``, so the last iterate is returned.
+    ``history`` holds the energy of ``init`` and then the energy at each
+    accepted iterate (``iterations + 1`` entries, decreasing); ``n_fev``
+    counts the objective evaluations.  ``reason`` says why the descent
+    stopped: ``grad_tol`` (the gradient's sup-norm is at most
+    ``opts.grad_tol``; only then is ``converged`` True), ``max_iters``, or
+    ``line_search`` (no step lowers the energy enough).
     """
-    # loaded here, not at module level, so that commands without a descent
-    # do not pay for scipy; minimize is looked up on the module at call time,
-    # where perfbench's tracer patches it
-    from scipy import optimize
-
     full = init.values.copy()
-    history = [float(energy_Ieps(init, eps, spec).total)]
     objective = _ieps_objective(init.grid, eps, spec)
-
-    best = {"f": history[0], "x": full[1:-1].copy()}
     n_fev = 0
 
     def fg(x):
         nonlocal n_fev
         n_fev += 1
         full[1:-1] = x
-        f, g = objective(full)
-        if f < best["f"]:
-            best["f"] = f
-            best["x"] = x.copy()
-        return f, g
+        return objective(full)
 
-    res = optimize.minimize(
-        fg, full[1:-1].copy(), jac=True, method="L-BFGS-B",
-        # the accepted iterate is the last evaluated point, so its value is at hand
-        callback=lambda intermediate_result: history.append(float(intermediate_result.fun)),
-        options={"maxiter": opts.max_iters, "gtol": opts.grad_tol,
-                 "ftol": 1e-16, "maxcor": 12},
-    )
+    x = full[1:-1].copy()
+    f, g = fg(x)
+    if not np.isfinite(f):
+        raise NumericError(f"the start's energy is {f}")
+    history = [f]
+    pairs = _Pairs(len(x))
+    while True:
+        if np.max(np.abs(g)) <= opts.grad_tol:
+            reason = "grad_tol"
+            break
+        if len(history) > opts.max_iters:
+            reason = "max_iters"
+            break
+        d = pairs.direction(g)
+        gd = float(g @ d)
+        if not gd < 0.0:
+            # rounding cost the direction its descent: restart from -g
+            pairs.kept = 0
+            d = np.negative(g)
+            gd = float(g @ d)
+        found = None
+        if gd < 0.0:
+            # with no pair kept, d = -g and the first trial moves x by 1
+            found = _wolfe_step(fg, x, f, gd, d, 1.0 if pairs.kept else 1.0 / math.sqrt(-gd))
+        if found is None:
+            reason = "line_search"
+            break
+        x_new, f, g_new = found
+        pairs.push(x_new - x, g_new - g)
+        x, g = x_new, g_new
+        history.append(f)
 
-    full[1:-1] = best["x"]
-    full[0] = 0.0
-    full[-1] = 0.0
-    u_best = GridFunction(init.grid, full, eps=eps, meta=dict(init.meta))
-    g_final = energy_gradient(u_best, eps, spec)
-    converged = bool(res.status != 2 and np.max(np.abs(g_final)) <= opts.grad_tol)
-    return MinimizeResult(u=u_best, value=best["f"], converged=converged,
-                          iterations=int(res.nit), n_fev=n_fev, history=history)
+    full[1:-1] = x
+    u = GridFunction(init.grid, full, eps=eps, meta=dict(init.meta))
+    return MinimizeResult(u=u, value=f, converged=reason == "grad_tol",
+                          iterations=len(history) - 1, n_fev=n_fev, reason=reason,
+                          history=history)
+
+
+class _Pairs:
+    """The newest ``MEMORY`` L-BFGS correction pairs (s, y), in ring buffers."""
+
+    def __init__(self, n: int):
+        self.s = np.empty((MEMORY, n))
+        self.y = np.empty((MEMORY, n))
+        self.rho = np.empty(MEMORY)            # 1 / s.y of each pair
+        self.kept = 0
+        self.newest = -1
+        self.gamma = 1.0                       # initial scaling s.y / y.y of the newest pair
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Keep the pair of a step when s.y > 0, dropping the oldest one."""
+        sy, yy = float(s @ y), float(y @ y)
+        # s.y > 0 keeps the estimate positive definite; a pair so small that
+        # 1 / s.y or s.y / y.y overflows is rounding noise
+        if not (sy > 0.0 and yy > 0.0 and math.isfinite(1.0 / sy) and math.isfinite(sy / yy)):
+            return
+        self.newest = (self.newest + 1) % MEMORY
+        self.s[self.newest] = s
+        self.y[self.newest] = y
+        self.rho[self.newest] = 1.0 / sy
+        self.gamma = sy / yy
+        self.kept = min(self.kept + 1, MEMORY)
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g by the two-loop recursion, H the inverse-Hessian estimate."""
+        d = np.negative(g)
+        if not self.kept:
+            return d
+        order = [(self.newest - i) % MEMORY for i in range(self.kept)]
+        alpha = {}
+        for i in order:
+            alpha[i] = self.rho[i] * float(self.s[i] @ d)
+            d -= alpha[i] * self.y[i]
+        d *= self.gamma
+        for i in reversed(order):
+            beta = self.rho[i] * float(self.y[i] @ d)
+            d += (alpha[i] - beta) * self.s[i]
+        return d
+
+
+def _wolfe_step(fg, x: np.ndarray, f: float, gd: float, d: np.ndarray, step: float):
+    """A step along the descent direction ``d`` that meets the weak Wolfe
+    conditions: (x, f, g) at the new point, or None.
+
+    ``gd`` is the slope g.d at ``x``.  A trial that does not lower the energy
+    by ``ARMIJO * step * gd``, or whose energy or slope is not finite, is too
+    long, and the step shrinks by safeguarded quadratic interpolation; one
+    whose slope is still below ``CURVATURE * gd`` is too short, and the step
+    grows 4x until a too-long trial brackets it.  After ``MAX_TRIALS``
+    trials the longest point that lowered the energy enough is taken, if any.
+    """
+    lo, f_lo, gd_lo = 0.0, f, gd
+    hi = f_hi = np.inf
+    short = None
+    for _ in range(MAX_TRIALS):
+        # a trial that overflows is too long, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_new = x + step * d
+            f_new, g_new = fg(x_new)
+            gd_new = float(g_new @ d)
+        if f_new < f and f_new <= f + ARMIJO * step * gd and np.isfinite(gd_new):
+            if gd_new >= CURVATURE * gd:
+                return x_new, f_new, g_new
+            lo, f_lo, gd_lo = step, f_new, gd_new
+            short = x_new, f_new, g_new
+        else:
+            hi, f_hi = step, f_new
+        if hi == np.inf:
+            step *= 4.0
+        else:
+            # minimizer of the quadratic with value f_lo and slope gd_lo at lo
+            # and value f_hi at hi, kept inside the middle 80% of the bracket;
+            # an energy that is not finite gives the shortest step
+            w = hi - lo
+            curv = f_hi - f_lo - gd_lo * w
+            t = -0.5 * gd_lo * w / curv if curv > 0.0 else 0.1
+            step = lo + w * min(max(t, 0.1), 0.9)
+    return short
 
 
 def _random_sawtooth(spec, eps: float, n: int, base_count: int,
@@ -315,9 +409,6 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # loaded before the fork, so that no worker loads it again
-        from scipy import optimize  # noqa: F401
-
         # fork starts neither a forkserver nor a resource tracker, and the
         # with block joins every worker
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -361,7 +452,8 @@ def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
     best = min(range(len(results)), key=lambda i: (results[i].value, i))
     out = results[best]
     out.per_start = [StartRecord(r.start_kind, r.value, r.converged, len(r.u),
-                                 r.iterations, r.n_fev, r.descent_s) for r in results]
+                                 r.iterations, r.n_fev, r.reason, r.descent_s)
+                     for r in results]
     return out
 
 

@@ -103,9 +103,11 @@ def test_minimize_command_roundtrip(spec_files, tmp_path):
     assert [s["start_kind"] for s in payload["starts"]] == ["two-well", "three-well"]
     for s in payload["starts"]:
         assert set(s) == {"start_kind", "value", "converged", "n_nodes", "iterations",
-                          "n_fev", "descent_s"}
+                          "n_fev", "reason", "descent_s"}
         assert s["value"] == payload["per_start"][s["start_kind"]]
         assert s["n_nodes"] > 0 and 0 < s["iterations"] <= 25 and s["n_fev"] > 0
+        assert s["reason"] in ("grad_tol", "max_iters", "line_search")
+        assert s["converged"] == (s["reason"] == "grad_tol")
     # the stored profile is accepted unchanged by the other commands
     r = run_cli("energy", "--profile", out, "--potential", p1)
     assert r.returncode == 0
@@ -141,6 +143,7 @@ def test_sweep_jobs_match_serial(spec_files, tmp_path):
         records = json.loads(r.stdout)["sweep"]["records"]
         assert [[s["start_kind"] for s in rec["starts"]] for rec in records] == \
             [["two-well", "three-well"]] * 2
+        assert all(s["reason"] == "max_iters" for rec in records for s in rec["starts"])
     assert outs[0] == outs[1]
 
 
@@ -257,6 +260,20 @@ def test_analyze_rejects_nan_or_negative_profile_eps(spec_files, tmp_path):
         assert r.stdout == ""
         assert json.loads(r.stderr)["error"] == {
             "type": "GridError", "message": "eps must be finite and non-negative"}
+
+
+def test_analyze_checks_thresholds_without_profile_eps(spec_files, tmp_path):
+    # a profile with eps 0 has no intervals to classify; the flags are still checked
+    p1, _ = spec_files
+    prof = tmp_path / "p.json"
+    x = np.linspace(0.0, 1.0, 11)
+    GridFunction(x, 0.01 * np.sin(np.pi * x)).save(prof)
+    for flags in (["--r-lo", "nan"], ["--r-hi", "nan"], ["--r-lo", "-0.1"]):
+        r = run_cli("analyze", "--profile", str(prof), "--potential", p1, "--eta", "0.2", *flags)
+        assert r.returncode == 2, flags
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["error"] == {
+            "type": "ParameterError", "message": "thresholds must satisfy 0 <= R_lo < R_hi"}
 
 
 def test_non_finite_output_fails(spec_files, tmp_path):

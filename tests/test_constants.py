@@ -74,7 +74,7 @@ def test_custom_copies_reproduce_exact_constants(ex1, ex2):
 
 
 def test_custom_density_matches_adaptive_quadrature(ex1):
-    from scipy import integrate
+    integrate = pytest.importorskip("scipy.integrate")
 
     custom = _custom(ex1, (1.0, 0.0, 1.0))      # no closed form in the code
     z1, z2, z3 = ex1.wells
@@ -87,10 +87,22 @@ def test_custom_density_matches_adaptive_quadrature(ex1):
     assert H[1] - H[0] == pytest.approx(E0 / 2.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("module", ["tripwell", "tripwell.minimizer", "tripwell.cli"])
-def test_import_loads_no_scipy(module):
-    # scipy.optimize is imported inside minimize_Ieps, when a descent runs
-    code = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
+DESCENT_AND_SWEEP = "\n".join((
+    "from tripwell import PotentialSpec, build_two_well_sawtooth",
+    "from tripwell.minimizer import MinimizeOptions, epsilon_sweep, minimize_Ieps",
+    "spec = PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0))",
+    "opts = MinimizeOptions(max_iters=3, grid_n=2001)",
+    "minimize_Ieps(spec, 0.1, build_two_well_sawtooth(spec, 0.1), opts)",
+    "epsilon_sweep(spec, [0.1], opts)",
+))
+
+
+@pytest.mark.parametrize("code", [
+    *(pytest.param(f"import {m}", id=m) for m in ("tripwell", "tripwell.minimizer", "tripwell.cli")),
+    pytest.param(DESCENT_AND_SWEEP, id="descent-and-sweep"),
+])
+def test_import_loads_no_scipy(code):
+    code += "\nimport sys; print([m for m in sys.modules if m.startswith('scipy')])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
@@ -188,6 +200,9 @@ def test_eval_f_rejects_negative_ratio(ex1):
         eval_f(ex1, "f6", -0.1)
     with pytest.raises(ParameterError):
         eval_f(ex1, "f9", 0.1)
+    for which, y in (("f6", np.nan), ("f8", [0.5, np.nan])):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            eval_f(ex1, which, y)
 
 
 def test_hypotheses_first_example_all_hold(ex1):

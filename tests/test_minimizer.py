@@ -40,6 +40,7 @@ def two_well_descent(ex1, c1):
 def test_descent_evaluates_fewer_than_twice_per_iteration(two_well_descent):
     _, _, res = two_well_descent
     assert res.iterations == FAST.max_iters
+    assert res.reason == "max_iters" and not res.converged
     assert 0 < res.n_fev < 2 * res.iterations
 
 
@@ -77,6 +78,35 @@ def test_quadratic_mode_gradient_within_tolerance(quadratic_density):
     assert res.converged
     g = energy_gradient(res.u, 0.15, quadratic_density)
     assert np.max(np.abs(g)) <= opts.grad_tol
+    assert res.reason == "grad_tol"
+
+
+def test_quadratic_mode_below_rounding_stops_in_the_line_search(quadratic_density):
+    # no step can lower the energy once it is down at rounding level
+    x = np.linspace(0.0, 1.0, 81)
+    vals = 0.1 * np.sin(np.pi * x) * (1 - x)
+    vals[0] = vals[-1] = 0.0
+    opts = MinimizeOptions(starts=1, max_iters=100000, grad_tol=1e-300)
+    res = minimize_Ieps(quadratic_density, 0.15, GridFunction(x, vals), opts)
+    assert res.reason == "line_search"
+    assert not res.converged
+    assert res.iterations < opts.max_iters
+    assert np.all(np.diff(res.history) < 0.0)
+
+
+def test_line_search_takes_an_overflowing_trial_as_too_long():
+    # sum(exp(x) - x) has its minimum at 0; the first trial overflows exp
+    def fg(x):
+        return float(np.sum(np.exp(x) - x)), np.exp(x) - 1.0
+
+    x = np.array([-1.0, -2.0])
+    f, g = fg(x)
+    d = -g
+    gd = float(g @ d)
+    x_new, f_new, g_new = minimizer._wolfe_step(fg, x, f, gd, d, 1000.0)
+    assert np.isfinite(f_new) and np.all(np.isfinite(g_new))
+    assert f_new <= f + minimizer.ARMIJO * float((x_new - x) @ g)
+    assert float(g_new @ d) >= minimizer.CURVATURE * gd
 
 
 def test_multi_start_winner_and_window(ex1, c1):
@@ -160,7 +190,7 @@ def test_default_workers_leave_room_for_blas_threads(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(minimizer, "_blas_names", lambda: ["scipy-openblas"] * 2)
+    monkeypatch.setattr(minimizer, "_blas_name", lambda: "scipy-openblas")
     assert minimizer._workers(5) == 1              # OpenBLAS takes every CPU
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     assert minimizer._workers(5) == min(5, cpus)
@@ -172,16 +202,16 @@ def test_default_workers_leave_room_for_blas_threads(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS")
     monkeypatch.setenv("MKL_NUM_THREADS", "1")
     assert minimizer._workers(5) == 1
-    monkeypatch.setattr(minimizer, "_blas_names", lambda: ["mkl-sdl", "mkl"])
+    monkeypatch.setattr(minimizer, "_blas_name", lambda: "mkl-sdl")
     assert minimizer._workers(5) == min(5, cpus)
-    monkeypatch.setattr(minimizer, "_blas_names", lambda: ["mkl", ""])
+    monkeypatch.setattr(minimizer, "_blas_name", lambda: "")
     assert minimizer._workers(5) == 1
 
 
 def test_default_workers_without_affinity_or_fork(monkeypatch):
     import multiprocessing
 
-    monkeypatch.setattr(minimizer, "_blas_names", lambda: ["openblas"] * 2)
+    monkeypatch.setattr(minimizer, "_blas_name", lambda: "openblas")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     # macOS and Windows have no sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -193,8 +223,9 @@ def test_default_workers_without_affinity_or_fork(monkeypatch):
 
 
 def test_blas_names_read_the_build_config():
-    names = minimizer._blas_names()
-    assert len(names) == 2 and all(isinstance(n, str) for n in names)
+    # numpy's BLAS is the only one a descent calls
+    name = minimizer._blas_name()
+    assert isinstance(name, str) and name == name.lower()
 
 
 POOLED = MinimizeOptions(starts=3, seed=3, max_iters=20, grid_n=4001)
