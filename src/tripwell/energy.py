@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, check_eps
 from .grids import Grid, GridFunction
 
 I_EPS = "I_eps"
@@ -178,7 +178,7 @@ def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
     is the honest proxy for "|u_xx| is large where the grid cannot see the
     eps^3 transition scale" (a coarse grid caps the pointwise u_xx estimate).
     """
-    if eps <= 0.0 or len(ux) < 2:
+    if len(ux) < 2:
         return False
     wells = getattr(density, "wells", None)
     scale = (wells[2] - wells[0]) if wells is not None else float(np.max(np.abs(ux)))
@@ -191,8 +191,7 @@ def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
 
 
 def energy_breakdown(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> EnergyBreakdown:
-    if not eps > 0.0:
-        raise GridError("eps must be positive")
+    check_eps(eps)
     ux = u.slopes()
     raw, _ = _kernel(u.grid, u.values, ux, eps, density)
     parts = _scale_parts(raw, eps, scaling)
@@ -216,8 +215,7 @@ def energy_Eeps(u: GridFunction, eps: float, density) -> EnergyBreakdown:
 
 def energy_gradient(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> np.ndarray:
     """d(energy)/d(u_j) at interior nodes (boundary nodes are pinned)."""
-    if not eps > 0.0:
-        raise GridError("eps must be positive")
+    check_eps(eps)
     _, g = _kernel(u.grid, u.values, u.slopes(), eps, density, value=False, grad=True)
     return _scale_gradient(g, eps, scaling)
 
@@ -229,6 +227,7 @@ def interface_plus_W(u: GridFunction, eps: float, density,
     Used for transition-cost bookkeeping: the result is comparable to the
     Modica-Mortola bound 2*eps*|H(u_x(hi)) - H(u_x(lo))|.
     """
+    check_eps(eps)
     nodes = u.nodes
     a = nodes[0] if lo is None else lo
     b = nodes[-1] if hi is None else hi

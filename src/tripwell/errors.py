@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of eps."""
 
 
 class TripwellError(Exception):
@@ -34,3 +34,9 @@ class NumericError(TripwellError, RuntimeError):
 
 class CoercivityFailure(NumericError):
     """No positive coercivity constant fits the sampled lower bound."""
+
+
+def check_eps(eps: float) -> None:
+    """The one check of the length scale eps that every public entry makes."""
+    if not 0.0 < eps < float("inf"):
+        raise ParameterError("eps must be finite and positive")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import LimitConstants, gauss_legendre_panels, limit_constants
-from .errors import ConstructionError, GridError, ParameterError
+from .errors import ConstructionError, GridError, ParameterError, check_eps
 from .grids import GridFunction, integrate_slopes
 from .potential import PotentialSpec, coercivity_exponent, sqrt_W
 
@@ -141,8 +141,7 @@ def solve_transition_ode(spec: PotentialSpec, eps: float, branch: str,
     at the mid-value between the upper wells.  The grid must resolve the
     transition scale: steps inside the layer may not exceed eps^3 / 10.
     """
-    if not eps > 0.0:
-        raise ParameterError("eps must be positive")
+    check_eps(eps)
     x_grid = np.asarray(x_grid, dtype=float)
     if branch == "z1z2":
         tab = _lower_branch(spec)
@@ -259,6 +258,31 @@ def _sawtooth(transition, plateaus: tuple[float, float], interval: tuple[float, 
     return _assemble_pieces(a, b, l, teeth, eps, meta)
 
 
+def _teeth(spec: PotentialSpec, eps: float, interval: tuple[float, float],
+           constants: LimitConstants | None, kind: str, count: int | None = None
+           ) -> tuple[LimitConstants, int, float]:
+    """(constants, tooth count, tooth width) of a two-well or three-well profile.
+
+    The count is the smallest integer above length/(eps*period), with period
+    d* for the two-well and h* for the three-well profile, unless ``count``
+    overrides it; fewer than 2 teeth is an error.
+    """
+    check_eps(eps)
+    a, b = interval
+    if not b > a:
+        raise ParameterError("empty interval")
+    c = constants if constants is not None else limit_constants(spec)
+    period, name = (c.d_star, "N") if kind == "two-well" else (c.h_star, "M")
+    length = b - a
+    n = count if count is not None else int(np.floor(length / (eps * period))) + 1
+    if n < 2:
+        raise ConstructionError(
+            f"eps={eps} too large for a {kind} profile on length {length}: "
+            f"tooth rule gives {name}={n}, minimal admissible {name} is 2"
+        )
+    return c, n, length / n
+
+
 # ---------------------------------------------------------------------------
 # two-well sawtooth
 # ---------------------------------------------------------------------------
@@ -266,6 +290,7 @@ def _sawtooth(transition, plateaus: tuple[float, float], interval: tuple[float, 
 def two_well_count(spec: PotentialSpec, eps: float, length: float,
                    constants: LimitConstants | None = None) -> int:
     """Default tooth count: smallest integer above length/(eps*d*)."""
+    check_eps(eps)
     c = constants if constants is not None else limit_constants(spec)
     return int(np.floor(length / (eps * c.d_star))) + 1
 
@@ -280,22 +305,8 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
     shift omega* enforces an exactly zero discrete tooth mean, so u vanishes
     at every tooth boundary.
     """
-    if not eps > 0.0:
-        raise ParameterError("eps must be positive")
-    a, b = interval
-    if not b > a:
-        raise ParameterError("empty interval")
-    c = constants if constants is not None else limit_constants(spec)
+    c, N, l = _teeth(spec, eps, interval, constants, "two-well", counts_override)
     z1, z2, _ = spec.wells
-    length = b - a
-    N = counts_override if counts_override is not None else two_well_count(
-        spec, eps, length, c)
-    if N < 2:
-        raise ConstructionError(
-            f"eps={eps} too large for a two-well profile on length {length}: "
-            f"tooth rule gives N={N}, minimal admissible N is 2"
-        )
-    l = length / N
     om0 = l * z2 / (z2 - z1)
     return _sawtooth(
         _transition_fn(spec, eps, z1, z2), (z1, z2), interval, N, om0,
@@ -308,13 +319,6 @@ def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
 # three-well profile (z1 <-> z3 through the bridged middle well)
 # ---------------------------------------------------------------------------
 
-def three_well_count(spec: PotentialSpec, eps: float, length: float,
-                     constants: LimitConstants | None = None) -> int:
-    """Default tooth count: smallest integer above length/(eps*h*)."""
-    c = constants if constants is not None else limit_constants(spec)
-    return int(np.floor(length / (eps * c.h_star))) + 1
-
-
 def build_three_well_profile(spec: PotentialSpec, eps: float,
                              interval: tuple[float, float] = (0.0, 1.0),
                              constants: LimitConstants | None = None) -> GridFunction:
@@ -325,21 +329,8 @@ def build_three_well_profile(spec: PotentialSpec, eps: float,
     whose shift omega* makes the discrete tooth mean zero, so u vanishes at
     every tooth boundary.
     """
-    if not eps > 0.0:
-        raise ParameterError("eps must be positive")
-    a, b = interval
-    if not b > a:
-        raise ParameterError("empty interval")
-    c = constants if constants is not None else limit_constants(spec)
-    z1, z2, z3 = spec.wells
-    length = b - a
-    M = three_well_count(spec, eps, length, c)
-    if M < 2:
-        raise ConstructionError(
-            f"eps={eps} too large for a three-well profile on length {length}: "
-            f"tooth rule gives M={M}, minimal admissible M is 2"
-        )
-    l = length / M
+    c, M, l = _teeth(spec, eps, interval, constants, "three-well")
+    z1, _, z3 = spec.wells
     rise, s_min, s_max = _transition_fn(spec, eps, z1, z3)
     if s_max - s_min > 0.6 * l:
         raise ConstructionError("eps too large: transition does not fit inside a tooth")
@@ -542,6 +533,7 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
 def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPlan,
                             length: float = 1.0) -> int:
     """Number of pattern periods: nearest integer to 1/T* with T* = eps*(c/(2J))^(1/3)."""
+    check_eps(eps)
     t_star = eps * (plan.c_int / (2.0 * plan.J)) ** (1.0 / 3.0)
     return int(round(length / t_star))
 
@@ -567,8 +559,7 @@ def build_h8_competitor(spec: PotentialSpec, eps: float, yhat: float,
 
 def _build_competitor(spec: PotentialSpec, eps: float, kind: str, yhat: float,
                       constants: LimitConstants | None) -> GridFunction:
-    if not eps > 0.0:
-        raise ParameterError("eps must be positive")
+    check_eps(eps)
     c = constants if constants is not None else limit_constants(spec)
     plan = competitor_plan(spec, kind, yhat, c)
     periods = competitor_period_count(spec, eps, plan)

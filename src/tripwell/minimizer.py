@@ -16,6 +16,7 @@ import io
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -24,7 +25,7 @@ import numpy as np
 from .analysis import transition_layers, volume_fractions
 from .constants import LimitConstants, check_hypotheses, limit_constants
 from .energy import _ieps_objective
-from .errors import ConstructionError, NumericError, ParameterError, TripwellError
+from .errors import ConstructionError, NumericError, ParameterError, TripwellError, check_eps
 from .grids import GridFunction
 from .microstructure import (
     build_h7_competitor,
@@ -179,6 +180,7 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     ``opts.grad_tol``; only then is ``converged`` True), ``max_iters``, or
     ``line_search`` (no step lowers the energy enough).
     """
+    check_eps(eps)
     full = init.values.copy()
     objective = _ieps_objective(init.grid, eps, spec)
     n_fev = 0
@@ -194,7 +196,8 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     if not np.isfinite(f):
         raise NumericError(f"the start's energy is {f}")
     history = [f]
-    pairs = _Pairs(len(x))
+    pairs = deque(maxlen=MEMORY)           # (s, y, 1 / s.y), oldest first
+    gamma = 1.0                            # initial scaling s.y / y.y of the newest pair
     while True:
         if np.max(np.abs(g)) <= opts.grad_tol:
             reason = "grad_tol"
@@ -202,22 +205,28 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
         if len(history) > opts.max_iters:
             reason = "max_iters"
             break
-        d = pairs.direction(g)
+        d = _two_loop(pairs, gamma, g)
         gd = float(g @ d)
         if not gd < 0.0:
             # rounding cost the direction its descent: restart from -g
-            pairs.kept = 0
+            pairs.clear()
             d = np.negative(g)
             gd = float(g @ d)
         found = None
         if gd < 0.0:
             # with no pair kept, d = -g and the first trial moves x by 1
-            found = _wolfe_step(fg, x, f, gd, d, 1.0 if pairs.kept else 1.0 / math.sqrt(-gd))
+            found = _wolfe_step(fg, x, f, gd, d, 1.0 if pairs else 1.0 / math.sqrt(-gd))
         if found is None:
             reason = "line_search"
             break
         x_new, f, g_new = found
-        pairs.push(x_new - x, g_new - g)
+        s, y = x_new - x, g_new - g
+        sy, yy = float(s @ y), float(y @ y)
+        # s.y > 0 keeps the estimate positive definite; a pair so small that
+        # 1 / s.y or s.y / y.y overflows is rounding noise
+        if sy > 0.0 and yy > 0.0 and math.isfinite(1.0 / sy) and math.isfinite(sy / yy):
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / yy
         x, g = x_new, g_new
         history.append(f)
 
@@ -228,46 +237,21 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
                           history=history)
 
 
-class _Pairs:
-    """The newest ``MEMORY`` L-BFGS correction pairs (s, y), in ring buffers."""
-
-    def __init__(self, n: int):
-        self.s = np.empty((MEMORY, n))
-        self.y = np.empty((MEMORY, n))
-        self.rho = np.empty(MEMORY)            # 1 / s.y of each pair
-        self.kept = 0
-        self.newest = -1
-        self.gamma = 1.0                       # initial scaling s.y / y.y of the newest pair
-
-    def push(self, s: np.ndarray, y: np.ndarray) -> None:
-        """Keep the pair of a step when s.y > 0, dropping the oldest one."""
-        sy, yy = float(s @ y), float(y @ y)
-        # s.y > 0 keeps the estimate positive definite; a pair so small that
-        # 1 / s.y or s.y / y.y overflows is rounding noise
-        if not (sy > 0.0 and yy > 0.0 and math.isfinite(1.0 / sy) and math.isfinite(sy / yy)):
-            return
-        self.newest = (self.newest + 1) % MEMORY
-        self.s[self.newest] = s
-        self.y[self.newest] = y
-        self.rho[self.newest] = 1.0 / sy
-        self.gamma = sy / yy
-        self.kept = min(self.kept + 1, MEMORY)
-
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        """-H g by the two-loop recursion, H the inverse-Hessian estimate."""
-        d = np.negative(g)
-        if not self.kept:
-            return d
-        order = [(self.newest - i) % MEMORY for i in range(self.kept)]
-        alpha = {}
-        for i in order:
-            alpha[i] = self.rho[i] * float(self.s[i] @ d)
-            d -= alpha[i] * self.y[i]
-        d *= self.gamma
-        for i in reversed(order):
-            beta = self.rho[i] * float(self.y[i] @ d)
-            d += (alpha[i] - beta) * self.s[i]
+def _two_loop(pairs: deque, gamma: float, g: np.ndarray) -> np.ndarray:
+    """-H g by the two-loop recursion, H the inverse-Hessian estimate of the
+    correction pairs (s, y, 1 / s.y), oldest first, with initial scaling gamma."""
+    d = np.negative(g)
+    if not pairs:
         return d
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ d))
+        d -= alphas[-1] * y
+    d *= gamma
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        beta = rho * float(y @ d)
+        d += (alpha - beta) * s
+    return d
 
 
 def _wolfe_step(fg, x: np.ndarray, f: float, gd: float, d: np.ndarray, step: float):
@@ -385,12 +369,15 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
                 max_workers: int = 0) -> list[list[tuple[str, MinimizeResult | TripwellError]]]:
     """Every start of every rung: (start kind, result or the error it raised).
 
-    The seeds are built here, rung by rung in start order.  With more than
-    one worker (``_workers``, at most ``max_workers`` unless that is 0) the
-    descents of the whole ladder run in a pool of forked worker processes
-    that is joined before this returns.  Each descent depends only on its
+    Every eps is checked before any seed is built; then the seeds are built
+    here, rung by rung in start order.  With more than one worker
+    (``_workers``, at most ``max_workers`` unless that is 0) the descents of
+    the whole ladder run in a pool of forked worker processes that is joined
+    before this returns.  Each descent depends only on its
     seed and ``opts``, so the results are the same for every worker count.
     """
+    for eps in eps_list:
+        check_eps(eps)
     rungs: list[list[tuple[str, GridFunction | TripwellError]]] = []
     for eps in eps_list:
         seeds = []

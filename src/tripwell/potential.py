@@ -78,17 +78,23 @@ class PotentialSpec:
         for z in self.wells:
             if abs(npp.polyval(z, self.coeffs)) > 1e-9 * scale:
                 raise SpecificationError(f"W does not vanish at well {z}")
-        z1, _, z3 = self.wells
-        samples = np.linspace(z1 - 2.0, z3 + 2.0, 2001)
-        w = npp.polyval(samples, self.coeffs)
-        near_well = np.min(
-            np.abs(samples[:, None] - np.asarray(self.wells)[None, :]), axis=1
-        )
-        bad = (w < -1e-12 * scale) | ((w <= 0.0) & (near_well > 1e-3))
-        if np.any(bad):
+        # W > 0 off the wells on the whole line when it grows at both ends,
+        # has no real root but the wells (to 1e-3), and is positive midway
+        # between neighbouring wells, where it keeps one sign
+        deg = self.degree
+        if deg % 2 or not self.coeffs[deg] > 0.0:
             raise SpecificationError(
-                f"W must be positive away from the wells; fails near s={samples[bad][0]:.6g}"
-            )
+                "W must be positive away from the wells; it needs an even degree "
+                "and a positive leading coefficient")
+        roots = npp.polyroots(self.coeffs[: deg + 1])
+        real = roots.real[np.abs(roots.imag) <= 1e-3]
+        away = real[np.min(np.abs(real[:, None] - np.asarray(self.wells)), axis=1) > 1e-3]
+        z1, z2, z3 = self.wells
+        mids = (0.5 * (z1 + z2), 0.5 * (z2 + z3))
+        bad = [*away, *(s for s in mids if not npp.polyval(s, self.coeffs) > 0.0)]
+        if bad:
+            raise SpecificationError(
+                f"W must be positive away from the wells; fails near s={bad[0]:.6g}")
 
     @property
     def degree(self) -> int:

@@ -210,7 +210,11 @@ def test_exit_codes(spec_files, tmp_path):
                 ["construct", "--eps", "0.07", "--kind", "h7", "--yhat", "nan",
                  "--out", str(tmp_path / "x.json")],
                 ["construct", "--eps", "0.07", "--kind", "h8", "--yhat", "inf",
-                 "--out", str(tmp_path / "x.json")]):
+                 "--out", str(tmp_path / "x.json")],
+                *(["minimize", "--eps", eps, "--out", str(tmp_path / "m.json")]
+                  for eps in ("0", "nan", "inf", "-0.05")),
+                *(["sweep", "--eps", f"0.1,{eps}", "--out", str(tmp_path / "s.csv")]
+                  for eps in ("0", "nan", "inf", "-0.05"))):
         r = run_cli(*cmd, "--potential", p1)
         assert r.returncode == 2, cmd
         assert r.stderr.startswith("{"), cmd           # no warnings ahead of the error
@@ -219,14 +223,13 @@ def test_exit_codes(spec_files, tmp_path):
     # a given --eps or --eta is checked, not replaced by a default: exit 2
     prof = tmp_path / "p.json"
     GridFunction(np.linspace(0.0, 1.0, 11), np.zeros(11), eps=0.1).save(prof)
-    for cmd, err in ((["energy", "--eps", "-0.05"], "GridError"),
-                     (["energy", "--eps", "nan"], "GridError"),
-                     (["analyze", "--eta", "nan"], "ParameterError")):
+    for cmd, msg in ((["energy", "--eps", "-0.05"], "eps must be finite and positive"),
+                     (["energy", "--eps", "nan"], "eps must be finite and positive"),
+                     (["energy", "--eps", "inf"], "eps must be finite and positive"),
+                     (["analyze", "--eta", "nan"], "eta must lie in (0, (z3-z1)/2)")):
         r = run_cli(*cmd, "--profile", str(prof), "--potential", p1)
         assert r.returncode == 2, cmd
-        assert json.loads(r.stderr)["error"] == {"type": err, "message": {
-            "GridError": "eps must be positive",
-            "ParameterError": "eta must lie in (0, (z3-z1)/2)"}[err]}, cmd
+        assert json.loads(r.stderr)["error"] == {"type": "ParameterError", "message": msg}, cmd
     # only an absent --eps falls back to the profile's, which must be set
     GridFunction(np.linspace(0.0, 1.0, 11), np.zeros(11)).save(prof)
     r = run_cli("energy", "--profile", str(prof), "--potential", p1)

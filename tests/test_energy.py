@@ -5,7 +5,8 @@ import pytest
 
 from tripwell import GridFunction, discrete_derivatives, energy_Eeps, energy_gradient, energy_Ieps
 from tripwell import microstructure
-from tripwell.errors import GridError
+from tripwell.energy import interface_plus_W
+from tripwell.errors import GridError, ParameterError
 from tripwell.grids import integrate_slopes
 
 
@@ -134,11 +135,11 @@ def test_duplicate_nodes_rejected():
         GridFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
 def test_energy_rejects_nonpositive_eps(ex1, eps):
     u = GridFunction(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.1, 0.2, 0.1, 0.0]))
-    for fn in (energy_Ieps, energy_gradient):
-        with pytest.raises(GridError, match="eps must be positive"):
+    for fn in (energy_Ieps, energy_Eeps, energy_gradient, interface_plus_W):
+        with pytest.raises(ParameterError, match="eps must be finite and positive"):
             fn(u, eps, ex1)
 
 

@@ -24,6 +24,7 @@ from tripwell.microstructure import (
     _rise_table,
     _upper_branch,
     _zero_mean,
+    competitor_period_count,
     competitor_plan,
     two_well_count,
 )
@@ -76,8 +77,8 @@ def test_transition_upper_branch(ex1):
 def test_transition_grid_resolution_guard(ex1):
     with pytest.raises(GridError):
         solve_transition_ode(ex1, 0.05, "z1z2", np.linspace(-0.01, 0.01, 5))
-    for eps in (0.0, np.nan):
-        with pytest.raises(ParameterError):
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="eps must be finite and positive"):
             solve_transition_ode(ex1, eps, "z1z2", np.linspace(-0.01, 0.01, 5))
 
 
@@ -363,15 +364,31 @@ def test_competitor_guards(ex2, c2):
         build_h7_competitor(ex2, 0.45, 0.585, constants=c2)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.05, np.nan])
+@pytest.mark.parametrize("eps", [0.0, -0.05, np.nan, np.inf])
 @pytest.mark.parametrize("build", [
     build_two_well_sawtooth, build_three_well_profile,
     lambda spec, eps, constants: build_h7_competitor(spec, eps, 0.585, constants=constants),
     lambda spec, eps, constants: build_h8_competitor(spec, eps, 0.204, constants=constants),
-], ids=["two-well", "three-well", "h7", "h8"])
+    lambda spec, eps, constants: two_well_count(spec, eps, 1.0, constants),
+    lambda spec, eps, constants: competitor_period_count(
+        spec, eps, competitor_plan(spec, "h7", 0.585, constants)),
+], ids=["two-well", "three-well", "h7", "h8", "two-well-count", "period-count"])
 def test_builders_reject_nonpositive_eps(ex2, c2, build, eps):
-    with pytest.raises(ParameterError, match="eps must be positive"):
+    with pytest.raises(ParameterError, match="eps must be finite and positive"):
         build(ex2, eps, constants=c2)
+
+
+@pytest.mark.parametrize("build, kind, name", [
+    (build_two_well_sawtooth, "two-well", "N"), (build_three_well_profile, "three-well", "M"),
+])
+def test_sawtooth_builders_report_too_few_teeth(ex1, c1, build, kind, name):
+    with pytest.raises(ConstructionError) as info:
+        build(ex1, 0.3, interval=(0.5, 0.8), constants=c1)
+    assert str(info.value) == (f"eps=0.3 too large for a {kind} profile on length "
+                               f"{0.8 - 0.5}: tooth rule gives {name}=1, "
+                               f"minimal admissible {name} is 2")
+    with pytest.raises(ParameterError, match="empty interval"):
+        build(ex1, 0.07, interval=(0.5, 0.5), constants=c1)
 
 
 # ---------------------------------------------------------------------------

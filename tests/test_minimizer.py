@@ -162,6 +162,25 @@ def test_sweep_requires_decreasing_ladder(ex1, c1):
         epsilon_sweep(ex1, [0.05, 0.07], FAST, c1)
 
 
+def test_sweep_rejects_a_bad_eps_before_building_seeds(ex1, c1, monkeypatch):
+    def no_seeds(*args):
+        raise AssertionError("a seed was built")
+
+    monkeypatch.setattr(minimizer, "_seed_builders", no_seeds)
+    with pytest.raises(ParameterError, match="eps must be finite and positive"):
+        epsilon_sweep(ex1, [0.1, 0.0], FAST, c1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.05, np.nan, np.inf])
+def test_descents_reject_a_bad_eps(ex1, c1, eps):
+    seed = build_two_well_sawtooth(ex1, 0.1, constants=c1)
+    for run in (lambda: minimize_Ieps(ex1, eps, seed, FAST),
+                lambda: multi_start(ex1, eps, FAST, c1),
+                lambda: epsilon_sweep(ex1, [eps], FAST, c1)):
+        with pytest.raises(ParameterError, match="eps must be finite and positive"):
+            run()
+
+
 def test_sweep_deterministic(ex1, c1):
     a = sweep_to_csv(epsilon_sweep(ex1, [0.1], FAST, c1))
     b = sweep_to_csv(epsilon_sweep(ex1, [0.1], FAST, c1))

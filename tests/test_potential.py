@@ -52,6 +52,19 @@ def test_custom_polynomial_matches_family(ex1):
     assert np.allclose(eval_dW(spec, s), eval_dW(ex1, s), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("factor", [(1.0, -0.2), (35.5, -12.0, 1.0)],
+                         ids=["times-1-s/5", "times-(s-6)^2-0.5"])
+def test_custom_polynomial_negative_beyond_the_wells_rejected(ex1, ex2, factor):
+    # the bundled family, written as custom-polynomial, is accepted
+    for spec in (ex1, ex2):
+        PotentialSpec(kind="custom-polynomial", wells=spec.wells, coeffs=spec.coeffs)
+    # W < 0 beyond [z1 - 2, z3 + 2], which a sampled check would not see
+    coeffs = npp.polymul(ex1.coeffs, factor)
+    assert npp.polyval(6.0, coeffs) < -7000.0
+    with pytest.raises(SpecificationError, match="W must be positive away from the wells"):
+        PotentialSpec(kind="custom-polynomial", wells=ex1.wells, coeffs=tuple(coeffs))
+
+
 def test_custom_polynomial_must_vanish_at_wells():
     with pytest.raises(SpecificationError):
         PotentialSpec(kind="custom-polynomial", wells=(-1.0, 0.5, 1.0),
