@@ -6,6 +6,9 @@ manifest; floating-point output is printed with 12 significant digits, and
 repeated runs with byte-identical inputs and the same seed produce
 byte-identical output apart from the manifest's wall_time_s field and the
 descent_s of each start in the minimize and sweep payloads.
+
+Each subcommand imports the layers it runs when it runs, so a cold command
+loads only those.
 """
 
 from __future__ import annotations
@@ -17,24 +20,16 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .analysis import measure_report
-from .constants import check_hypotheses, limit_constants
-from .energy import energy_Ieps
-from .errors import NumericError, TripwellError
-from .grids import GridFunction
-from .microstructure import (
-    build_h7_competitor,
-    build_h8_competitor,
-    build_three_well_profile,
-    build_two_well_sawtooth,
-    competitor_plan,
-)
-from .minimizer import MinimizeOptions, epsilon_sweep, multi_start, sweep_to_csv
-from .potential import PotentialSpec, load_potential
+from .errors import NumericError, ParameterError, TripwellError
+
+if TYPE_CHECKING:
+    from .minimizer import MinimizeOptions
+    from .potential import PotentialSpec
 
 EXAMPLE_POTENTIALS = {
     "example-1": {"kind": "polynomial-triple-well", "wells": [-1.0, 1.0 / 3.0, 1.0]},
@@ -107,11 +102,15 @@ def _options(args, skip=("func", "command")) -> dict:
 
 
 def _load_spec(args) -> tuple[PotentialSpec, str]:
+    from .potential import load_potential
+
     spec = load_potential(args.potential)
     return spec, _digest(args.potential)
 
 
 def _cmd_constants(args, t0):
+    from .constants import limit_constants
+
     spec, dig = _load_spec(args)
     c = limit_constants(spec, tol=args.tol)
     _emit("constants", dig, _options(args), t0, {"constants": c.as_dict()})
@@ -119,6 +118,8 @@ def _cmd_constants(args, t0):
 
 
 def _cmd_check_hypotheses(args, t0):
+    from .constants import check_hypotheses
+
     spec, dig = _load_spec(args)
     rep = check_hypotheses(spec, y_max=args.ymax)
     _emit("check-hypotheses", dig, _options(args), t0, {"hypotheses": rep.as_dict()})
@@ -126,6 +127,14 @@ def _cmd_check_hypotheses(args, t0):
 
 
 def _cmd_construct(args, t0):
+    from .constants import limit_constants
+    from .microstructure import (
+        build_h7_competitor,
+        build_h8_competitor,
+        build_three_well_profile,
+        build_two_well_sawtooth,
+    )
+
     spec, dig = _load_spec(args)
     c = limit_constants(spec)
     if args.kind == "two-well":
@@ -154,6 +163,9 @@ def _require_yhat(args):
 
 
 def _cmd_energy(args, t0):
+    from .energy import energy_Ieps
+    from .grids import GridFunction
+
     spec, dig = _load_spec(args)
     gf = GridFunction.load(args.profile)
     if args.eps is None and gf.eps == 0.0:
@@ -165,6 +177,8 @@ def _cmd_energy(args, t0):
 
 
 def _cmd_minimize(args, t0):
+    from .minimizer import multi_start
+
     spec, dig = _load_spec(args)
     opts = _make_opts(args)
     best = multi_start(spec, args.eps, opts)
@@ -184,10 +198,11 @@ def _cmd_minimize(args, t0):
 
 
 def _cmd_sweep(args, t0):
+    from .minimizer import epsilon_sweep, sweep_to_csv
+
     spec, dig = _load_spec(args)
     opts = _make_opts(args)
-    records = epsilon_sweep(spec, [tok for tok in args.eps.split(",") if tok], opts,
-                            max_workers=args.jobs)
+    records = epsilon_sweep(spec, _eps_ladder(args.eps), opts, max_workers=args.jobs)
     csv_text = sweep_to_csv(records)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
@@ -204,7 +219,23 @@ def _cmd_sweep(args, t0):
     return 0
 
 
+def _eps_ladder(text: str) -> list[float]:
+    """The --eps ladder of ``sweep``: comma-separated numbers, empty tokens
+    skipped.  Range checks (order, NaN, inf) are left to ``epsilon_sweep``."""
+    ladder = []
+    for tok in text.split(","):
+        if not tok:
+            continue
+        try:
+            ladder.append(float(tok))
+        except ValueError:
+            raise ParameterError(f"--eps: {tok!r} is not a number") from None
+    return ladder
+
+
 def _make_opts(args) -> MinimizeOptions:
+    from .minimizer import MinimizeOptions
+
     seed = int(os.environ.get("TRIPWELL_SEED", args.seed))
     return MinimizeOptions(
         grid_n=args.grid_n, max_iters=args.max_iters, grad_tol=args.grad_tol,
@@ -213,6 +244,9 @@ def _make_opts(args) -> MinimizeOptions:
 
 
 def _cmd_analyze(args, t0):
+    from .analysis import measure_report
+    from .grids import GridFunction
+
     spec, dig = _load_spec(args)
     gf = GridFunction.load(args.profile)
     rep = measure_report(gf, spec, args.eta, bins=args.bins,
@@ -230,6 +264,16 @@ def _cmd_analyze(args, t0):
 
 
 def _cmd_paper_examples(args, t0):
+    from .constants import check_hypotheses, limit_constants
+    from .energy import energy_Ieps
+    from .microstructure import (
+        build_h7_competitor,
+        build_h8_competitor,
+        build_two_well_sawtooth,
+        competitor_plan,
+    )
+    from .potential import PotentialSpec
+
     summary, held = {}, {}
     for name, data in EXAMPLE_POTENTIALS.items():
         spec = PotentialSpec.from_dict(data)

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import GridError
 
+SAVE_CHUNK = 4096          # values encoded per piece of a saved profile
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -40,7 +42,17 @@ class Grid:
     """
 
     def __init__(self, nodes):
-        nodes = np.array(nodes, dtype=float)
+        self._own(np.array(nodes, dtype=float))
+
+    @classmethod
+    def _adopt(cls, nodes: np.ndarray) -> "Grid":
+        """A grid that takes ``nodes``, a fresh float array no caller keeps,
+        instead of copying it."""
+        grid = cls.__new__(cls)
+        grid._own(nodes)
+        return grid
+
+    def _own(self, nodes: np.ndarray) -> None:
         if nodes.ndim != 1:
             raise GridError("nodes and values must be 1-d arrays of equal length")
         if len(nodes) < 3:
@@ -95,17 +107,29 @@ class GridFunction:
                                           compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.eps < np.inf:
-            raise GridError("eps must be finite and non-negative")
-        self.grid = self.nodes if isinstance(self.nodes, Grid) else Grid(self.nodes)
-        self.nodes = self.grid.nodes
-        values = np.array(self.values, dtype=float)
+        _check_profile_eps(self.eps)
+        grid = self.nodes if isinstance(self.nodes, Grid) else Grid(self.nodes)
+        self._own(grid, np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray, eps: float,
+               meta: dict) -> "GridFunction":
+        """A profile on ``grid`` that takes ``values``, a fresh float array no
+        caller keeps, instead of copying it."""
+        _check_profile_eps(eps)
+        u = cls.__new__(cls)
+        u.eps, u.meta, u._slopes = eps, meta, None
+        u._own(grid, values)
+        return u
+
+    def _own(self, grid: Grid, values: np.ndarray) -> None:
+        self.grid = grid
+        self.nodes = grid.nodes
         if values.shape != self.nodes.shape:
             raise GridError("nodes and values must be 1-d arrays of equal length")
-        scale = float(np.max(np.abs(values))) or 1.0
         for k in (0, -1):
             if values[k] != 0.0:
-                if abs(values[k]) > 1e-12 * scale:
+                if abs(values[k]) > 1e-12 * float(np.max(np.abs(values))):
                     raise GridError("boundary values must vanish")
                 values[k] = 0.0
         self.values = _frozen(values)
@@ -164,10 +188,25 @@ class GridFunction:
         return GridFunction(nodes=nodes, values=values, eps=eps, meta=dict(meta))
 
     def save(self, path) -> None:
+        """Write ``json.dumps(self.to_dict()) + "\\n"``, one piece at a time.
+
+        Each array goes out in runs of SAVE_CHUNK values, so the whole text
+        and the two full float lists never exist at once.  Each run is encoded
+        by the C encoder (``json.dump`` would stream through the pure-Python
+        one); the list brackets are cut off and the runs joined by ", ".
+        """
+        head = '{"eps": ' + json.dumps(self.eps)
+        tail = ', "meta": ' + json.dumps(self.meta) + "}\n"
         with open(path, "w", encoding="utf-8") as fh:
-            # json.dumps runs the C encoder; json.dump streams through the
-            # pure-Python one, and both write the same bytes
-            fh.write(json.dumps(self.to_dict()) + "\n")
+            fh.write(head)
+            for key, arr in (("nodes", self.nodes), ("values", self.values)):
+                fh.write(f', "{key}": [')
+                for i in range(0, len(arr), SAVE_CHUNK):
+                    if i:
+                        fh.write(", ")
+                    fh.write(json.dumps(arr[i:i + SAVE_CHUNK].tolist())[1:-1])
+                fh.write("]")
+            fh.write(tail)
 
     @staticmethod
     def load(path) -> "GridFunction":
@@ -175,14 +214,21 @@ class GridFunction:
             return GridFunction.from_dict(json.load(fh))
 
 
-def integrate_slopes(nodes: np.ndarray, w: np.ndarray, eps: float = 0.0,
+def _check_profile_eps(eps: float) -> None:
+    if not 0.0 <= eps < np.inf:
+        raise GridError("eps must be finite and non-negative")
+
+
+def integrate_slopes(nodes, w: np.ndarray, eps: float = 0.0,
                      meta: Optional[dict] = None) -> GridFunction:
     """Cumulative trapezoid of a sampled gradient, detrended to exact zero ends.
 
     The linear detrend removes the accumulated rounding drift (the builders
-    enforce per-tooth zero means, so the drift is at machine level).
+    enforce per-tooth zero means, so the drift is at machine level).  As in
+    ``GridFunction``, ``nodes`` may be a ``Grid``, which is then shared; the
+    integrated values are the profile's own, without a further copy.
     """
-    grid = Grid(nodes)
+    grid = nodes if isinstance(nodes, Grid) else Grid(nodes)
     nodes = grid.nodes
     w = np.asarray(w, dtype=float)
     steps = w[1:] + w[:-1]
@@ -191,10 +237,11 @@ def integrate_slopes(nodes: np.ndarray, w: np.ndarray, eps: float = 0.0,
     u = np.empty(len(nodes))
     u[0] = 0.0
     np.cumsum(steps, out=u[1:])
+    del steps                                  # freed before the detrend allocates
     span = nodes[-1] - nodes[0]
     trend = nodes - nodes[0]
     trend *= u[-1] / span
     u -= trend
     u[0] = 0.0
     u[-1] = 0.0
-    return GridFunction(grid, u, eps=eps, meta=meta or {})
+    return GridFunction._adopt(grid, u, eps, meta or {})

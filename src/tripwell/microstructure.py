@@ -35,7 +35,7 @@ import numpy as np
 
 from .constants import LimitConstants, gauss_legendre_panels, limit_constants
 from .errors import ConstructionError, GridError, ParameterError, check_eps
-from .grids import GridFunction, integrate_slopes
+from .grids import Grid, GridFunction, integrate_slopes
 from .potential import PotentialSpec, coercivity_exponent, sqrt_W
 
 
@@ -212,17 +212,18 @@ def _assemble_pieces(a: float, b: float, l: float,
                      meta: dict) -> GridFunction:
     """Concatenate pieces of width l from a to b; each piece is (nodes
     relative to its left end, gradient values), and shared boundary nodes
-    are dropped."""
-    nodes = [a + pieces[0][0]]
-    vals = [pieces[0][1]]
-    for i, (p_nodes, p_vals) in enumerate(pieces[1:], start=1):
-        nodes.append(a + i * l + p_nodes[1:])
-        vals.append(p_vals[1:])
-    all_nodes = np.concatenate(nodes)
-    all_nodes[0] = a
-    all_nodes[-1] = b          # a + n*l can drift by one ulp
-    return integrate_slopes(all_nodes, np.concatenate(vals),
-                            eps=eps, meta=meta)
+    are dropped.  Nodes and gradient are written into one array each, which
+    the profile's grid then owns."""
+    n = 1 + sum(len(p_nodes) - 1 for p_nodes, _ in pieces)
+    nodes, w = np.empty(n), np.empty(n)
+    nodes[0], w[0] = a, pieces[0][1][0]
+    end = 1
+    for i, (p_nodes, p_vals) in enumerate(pieces):
+        start, end = end, end + len(p_nodes) - 1
+        np.add(a + i * l, p_nodes[1:], out=nodes[start:end])
+        w[start:end] = p_vals[1:]
+    nodes[-1] = b              # a + n*l can drift by one ulp
+    return integrate_slopes(Grid._adopt(nodes), w, eps=eps, meta=meta)
 
 
 def _sawtooth(transition, plateaus: tuple[float, float], interval: tuple[float, float],

@@ -457,6 +457,8 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
     natural window is too wide for the layer definitions to make sense).
     """
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise ParameterError("eps ladder is empty")
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
         raise ParameterError("eps ladder must be strictly decreasing")
     if max_workers < 0:

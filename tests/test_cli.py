@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -339,3 +340,36 @@ def test_l0_split_intervals(spec_files, tmp_path):
     data = json.loads(open(prof2).read())
     assert abs(data["nodes"][0] - 0.6) < 1e-12
     assert data["nodes"][-1] == 1.0
+
+
+def test_sweep_rejects_an_empty_or_malformed_ladder(spec_files, tmp_path):
+    p1, _ = spec_files
+    out = tmp_path / "s.csv"
+    for ladder, msg in ((",,", "eps ladder is empty"), ("", "eps ladder is empty"),
+                        ("0.1,abc", "--eps: 'abc' is not a number")):
+        r = run_cli("sweep", "--potential", p1, "--eps", ladder, "--out", str(out))
+        assert r.returncode == 2, ladder
+        assert json.loads(r.stderr)["error"] == {"type": "ParameterError", "message": msg}
+        assert not out.exists()
+
+
+# layers that neither a constants nor an energy command runs
+UNUSED_LAYERS = {"tripwell.minimizer", "tripwell.analysis", "tripwell.microstructure"}
+
+
+@pytest.mark.parametrize("command", ["constants", "energy"])
+def test_cold_command_loads_only_its_layers(spec_files, tmp_path, command):
+    p1, _ = spec_files
+    prof = tmp_path / "p.json"
+    x = np.linspace(0.0, 1.0, 101)
+    GridFunction(x, 0.01 * x * (1.0 - x), eps=0.1).save(prof)
+    args = {"constants": ["constants", "--potential", p1],
+            "energy": ["energy", "--profile", str(prof), "--potential", p1]}[command]
+    code = ("import sys; from tripwell.cli import main; rc = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('tripwell')), "
+            "file=sys.stderr); sys.exit(rc)")
+    r = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["manifest"]["command"] == command
+    loaded = set(ast.literal_eval(r.stderr.strip().splitlines()[-1]))
+    assert "tripwell.potential" in loaded and not loaded & UNUSED_LAYERS

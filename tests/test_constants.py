@@ -1,3 +1,4 @@
+import importlib
 import subprocess
 import sys
 
@@ -116,6 +117,54 @@ def test_import_loads_no_process_pool(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+# every name the package re-exports, by the submodule that defines it
+REEXPORTS = {
+    "constants": ("HypothesisReport", "LimitConstants", "check_hypotheses", "eval_f",
+                  "H_antiderivative", "interface_energies", "limit_constants"),
+    "energy": ("EnergyBreakdown", "discrete_derivatives", "energy_Eeps", "energy_gradient",
+               "energy_Ieps"),
+    "errors": ("ConstructionError", "GridError", "NumericError", "ParameterError",
+               "SpecificationError", "TripwellError"),
+    "grids": ("GridFunction",),
+    "microstructure": ("build_h7_competitor", "build_h8_competitor",
+                       "build_three_well_profile", "build_two_well_sawtooth",
+                       "solve_transition_ode"),
+    "potential": ("Coercivity", "PotentialSpec", "estimate_coercivity", "eval_dW", "eval_W",
+                  "load_potential", "sqrt_W", "verify_growth"),
+}
+
+
+def test_package_reexports_resolve_on_use_without_caching(monkeypatch):
+    import tripwell
+
+    star = {}
+    exec("from tripwell import *", star)
+    assert sorted(tripwell.__all__) == sorted(n for names in REEXPORTS.values() for n in names)
+    for module, names in REEXPORTS.items():
+        home = importlib.import_module(f"tripwell.{module}")
+        assert getattr(tripwell, module) is home
+        for name in names:
+            assert getattr(tripwell, name) is getattr(home, name), name
+            assert star[name] is getattr(home, name), name
+            assert name not in vars(tripwell), name
+    # a rebinding in the submodule shows through the package, and its undo too
+    original = tripwell.limit_constants
+    monkeypatch.setattr(sys.modules["tripwell.constants"], "limit_constants", len)
+    assert tripwell.limit_constants is len
+    monkeypatch.undo()
+    assert tripwell.limit_constants is original
+    with pytest.raises(AttributeError):
+        tripwell.no_such_name  # noqa: B018
+    assert tripwell.__version__ == "0.1.0"
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, tripwell; print(sorted(m for m in sys.modules if m.startswith('tripwell')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "['tripwell']"
 
 
 def test_antiderivative_properties(ex1):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -496,3 +498,26 @@ def test_three_well_window_covers_the_shifted_transition(ex1, c1, eps):
         lo, hi = start + om + s_min, start + om + s_max
         i0, i1 = np.searchsorted(x, lo) - 1, np.searchsorted(x, hi) + 1
         assert np.max(np.diff(x[i0:i1])) <= step * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("kind", ["two-well", "three-well", "h7", "h8"])
+def test_builders_keep_one_copy_of_the_profile(ex1, ex2, c1, c2, kind):
+    # the nodes and values the assembly writes become the profile's own
+    # read-only arrays; copying them again peaked at 82-84 bytes per node
+    build = {
+        "two-well": lambda: build_two_well_sawtooth(ex1, 0.07, constants=c1),
+        "three-well": lambda: build_three_well_profile(ex1, 0.07, constants=c1),
+        "h7": lambda: build_h7_competitor(ex2, 0.07, 0.585, constants=c2),
+        "h8": lambda: build_h8_competitor(ex2, 0.07, 0.204, constants=c2),
+    }[kind]
+    build()                     # the transition tables are cached from here on
+    tracemalloc.start()
+    try:
+        u = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * len(u)
+    for arr in (u.nodes, u.values, u.cell_widths()):
+        assert arr.base is None and not arr.flags.writeable
+    assert u.nodes is u.grid.nodes

@@ -162,6 +162,11 @@ def test_sweep_requires_decreasing_ladder(ex1, c1):
         epsilon_sweep(ex1, [0.05, 0.07], FAST, c1)
 
 
+def test_sweep_rejects_an_empty_ladder(ex1, c1):
+    with pytest.raises(ParameterError, match="eps ladder is empty"):
+        epsilon_sweep(ex1, [], FAST, c1)
+
+
 def test_sweep_rejects_a_bad_eps_before_building_seeds(ex1, c1, monkeypatch):
     def no_seeds(*args):
         raise AssertionError("a seed was built")
