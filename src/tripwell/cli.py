@@ -266,12 +266,7 @@ def _cmd_analyze(args, t0):
 def _cmd_paper_examples(args, t0):
     from .constants import check_hypotheses, limit_constants
     from .energy import energy_Ieps
-    from .microstructure import (
-        build_h7_competitor,
-        build_h8_competitor,
-        build_two_well_sawtooth,
-        competitor_plan,
-    )
+    from .microstructure import build_two_well_sawtooth, competitor_plan, competitor_seeds
     from .potential import PotentialSpec
 
     summary, held = {}, {}
@@ -298,11 +293,7 @@ def _cmd_paper_examples(args, t0):
     # example 2: competitor energies against the two-well energy line
     spec2, c2, rep2 = held["example-2"]
     comps = {}
-    for kind, verdict, builder in (("h7", rep2.h7, build_h7_competitor),
-                                   ("h8", rep2.h8, build_h8_competitor)):
-        if verdict.status != "fails":
-            continue
-        yhat = verdict.worst_y
+    for kind, yhat, builder in competitor_seeds(rep2):
         plan = competitor_plan(spec2, kind, yhat, c2)
         line = c2.A0 * plan.lam[1] + c2.B0 * plan.lam[2]
         eps = 0.07

@@ -19,6 +19,7 @@ whether the two-well pattern wins against mixed three-well competitors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +50,21 @@ class LimitConstants:
         }
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+@functools.cache
+def _gauss_legendre_12() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 12-point Gauss-Legendre rule on [-1, 1],
+    computed (an eigenvalue solve) on first use."""
+    return np.polynomial.legendre.leggauss(12)
 
 
 def gauss_legendre_panels(f, edges: np.ndarray) -> np.ndarray:
     """12-point Gauss-Legendre integrals of a vectorized ``f`` on each panel
     [edges[k], edges[k+1]]."""
+    gl_nodes, gl_weights = _gauss_legendre_12()
     a = edges[:-1]
     h = np.diff(edges)
-    nodes = a[:, None] + 0.5 * h[:, None] * (1.0 + _GL_NODES[None, :])
-    return 0.5 * h * (f(nodes) @ _GL_WEIGHTS)
+    nodes = a[:, None] + 0.5 * h[:, None] * (1.0 + gl_nodes[None, :])
+    return 0.5 * h * (f(nodes) @ gl_weights)
 
 
 def _sqrtW_integral(spec: PotentialSpec, a: float, b: float, tol: float) -> float:

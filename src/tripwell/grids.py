@@ -82,7 +82,7 @@ class Grid:
         return _frozen(_interior_trapz_weights(self.nodes))
 
 
-@dataclass
+@dataclass(eq=False)
 class GridFunction:
     """A piecewise-linear profile u on an interval, pinned to zero at both ends.
 
@@ -96,15 +96,15 @@ class GridFunction:
 
     ``nodes`` and ``values`` are read-only copies the profile owns; the cell
     widths, midpoints and slopes are computed once and shared by every caller.
+    Profiles, like grids, compare by identity.
     """
 
     nodes: np.ndarray
     values: np.ndarray
     eps: float = 0.0
     meta: dict = field(default_factory=dict)
-    grid: Grid = field(init=False, repr=False, compare=False)
-    _slopes: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                          compare=False)
+    grid: Grid = field(init=False, repr=False)
+    _slopes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _check_profile_eps(self.eps)

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .constants import LimitConstants, gauss_legendre_panels, limit_constants
+from .constants import HypothesisReport, LimitConstants, gauss_legendre_panels, limit_constants
 from .errors import ConstructionError, GridError, ParameterError, check_eps
 from .grids import Grid, GridFunction, integrate_slopes
 from .potential import PotentialSpec, coercivity_exponent, sqrt_W
@@ -264,9 +265,9 @@ def _teeth(spec: PotentialSpec, eps: float, interval: tuple[float, float],
            ) -> tuple[LimitConstants, int, float]:
     """(constants, tooth count, tooth width) of a two-well or three-well profile.
 
-    The count is the smallest integer above length/(eps*period), with period
-    d* for the two-well and h* for the three-well profile, unless ``count``
-    overrides it; fewer than 2 teeth is an error.
+    The count is ``_tooth_count`` with period d* for the two-well and h* for
+    the three-well profile, unless ``count`` overrides it; fewer than 2 teeth
+    is an error.
     """
     check_eps(eps)
     a, b = interval
@@ -275,7 +276,7 @@ def _teeth(spec: PotentialSpec, eps: float, interval: tuple[float, float],
     c = constants if constants is not None else limit_constants(spec)
     period, name = (c.d_star, "N") if kind == "two-well" else (c.h_star, "M")
     length = b - a
-    n = count if count is not None else int(np.floor(length / (eps * period))) + 1
+    n = count if count is not None else _tooth_count(length, eps, period)
     if n < 2:
         raise ConstructionError(
             f"eps={eps} too large for a {kind} profile on length {length}: "
@@ -288,12 +289,19 @@ def _teeth(spec: PotentialSpec, eps: float, interval: tuple[float, float],
 # two-well sawtooth
 # ---------------------------------------------------------------------------
 
+def _tooth_count(length: float, eps: float, period: float) -> int:
+    """The tooth rule: the smallest integer above length/(eps*period)."""
+    return int(np.floor(length / (eps * period))) + 1
+
+
 def two_well_count(spec: PotentialSpec, eps: float, length: float,
                    constants: LimitConstants | None = None) -> int:
-    """Default tooth count: smallest integer above length/(eps*d*)."""
+    """Default two-well tooth count: ``_tooth_count`` with period d*."""
     check_eps(eps)
+    if not 0.0 < length < np.inf:
+        raise ParameterError("length must be finite and positive")
     c = constants if constants is not None else limit_constants(spec)
-    return int(np.floor(length / (eps * c.d_star))) + 1
+    return _tooth_count(length, eps, c.d_star)
 
 
 def build_two_well_sawtooth(spec: PotentialSpec, eps: float,
@@ -556,6 +564,15 @@ def build_h8_competitor(spec: PotentialSpec, eps: float, yhat: float,
     branch threshold sqrt(z2*z21/(z3*z31))), offset so the primitive's sign
     change sits at the energy-optimal phase."""
     return _build_competitor(spec, eps, "h8", yhat, constants)
+
+
+def competitor_seeds(report: HypothesisReport) -> list[tuple[str, float, Callable]]:
+    """(kind, yhat, builder) of the competitor each failing H7 or H8 calls
+    for, h7 first: the pattern at the verdict's worst ratio ``worst_y``."""
+    return [(kind, verdict.worst_y, builder) for kind, verdict, builder in (
+        ("h7", report.h7, build_h7_competitor),
+        ("h8", report.h8, build_h8_competitor),
+    ) if verdict.status == "fails"]
 
 
 def _build_competitor(spec: PotentialSpec, eps: float, kind: str, yhat: float,

@@ -11,7 +11,6 @@ values with the exact discrete gradient; boundary values stay pinned at zero.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import os
@@ -28,10 +27,9 @@ from .energy import _ieps_objective
 from .errors import ConstructionError, NumericError, ParameterError, TripwellError, check_eps
 from .grids import GridFunction
 from .microstructure import (
-    build_h7_competitor,
-    build_h8_competitor,
     build_three_well_profile,
     build_two_well_sawtooth,
+    competitor_seeds,
     two_well_count,
 )
 from .potential import coercivity_exponent
@@ -319,42 +317,44 @@ def _random_sawtooth(spec, eps: float, n: int, base_count: int,
                                                  "count": count})
 
 
-def _seed_builders(spec, eps: float, opts: MinimizeOptions,
-                   constants: LimitConstants) -> list[tuple[str, functools.partial]]:
-    """(start kind, seed builder) for every start, in start order.
+def _seeds(spec, eps: float, opts: MinimizeOptions,
+           constants: LimitConstants) -> list[tuple[str, GridFunction | TripwellError]]:
+    """(start kind, seed) for every start, in start order; a seed whose build
+    raised is the TripwellError it raised.
 
-    The random seeds share one generator, so they must be built in this order.
+    The random seeds share one generator, so they are built in this order.
     """
-    seeds = [("two-well", functools.partial(
-        build_two_well_sawtooth, spec, eps, constants=constants))]
+    seeds = []
+
+    def add(kind, build, *args, **kwargs):
+        try:
+            seeds.append((kind, build(spec, eps, *args, **kwargs)))
+        except TripwellError as exc:
+            seeds.append((kind, exc))
+
+    add("two-well", build_two_well_sawtooth, constants=constants)
     if opts.starts >= 2:
-        seeds.append(("three-well", functools.partial(
-            build_three_well_profile, spec, eps, constants=constants)))
+        add("three-well", build_three_well_profile, constants=constants)
     if opts.starts > 2:
         report = check_hypotheses(spec, constants=constants)
-        for verdict, builder, kind in (
-            (report.h7, build_h7_competitor, "h7-competitor"),
-            (report.h8, build_h8_competitor, "h8-competitor"),
-        ):
-            if verdict.status == "fails" and len(seeds) < opts.starts:
-                seeds.append((kind, functools.partial(
-                    builder, spec, eps, verdict.worst_y, constants=constants)))
+        for kind, yhat, build in competitor_seeds(report)[: opts.starts - 2]:
+            add(f"{kind}-competitor", build, yhat, constants=constants)
     rng = np.random.default_rng(opts.seed)
     base = two_well_count(spec, eps, 1.0, constants)
-    idx = 0
-    while len(seeds) < opts.starts:
-        seeds.append((f"random-{idx}", functools.partial(
-            _random_sawtooth, spec, eps, opts.grid_n, base, rng)))
-        idx += 1
-    return seeds[: opts.starts]
+    for idx in range(opts.starts - len(seeds)):
+        add(f"random-{idx}", _random_sawtooth, opts.grid_n, base, rng)
+    return seeds
 
 
-def _descend(spec, eps: float, kind: str, init: GridFunction,
+def _descend(spec, eps: float, kind: str, init: GridFunction | TripwellError,
              opts: MinimizeOptions) -> MinimizeResult | TripwellError:
-    """One start's descent, timed; a TripwellError is returned, not raised.
+    """One start's descent, timed; a TripwellError, whether the seed or one
+    the descent raised, is returned, not raised.
 
     Module-level so that a worker process can run it.
     """
+    if isinstance(init, TripwellError):
+        return init
     t0 = time.perf_counter()
     try:
         r = minimize_Ieps(spec, eps, init, opts)
@@ -371,25 +371,18 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
 
     Every eps is checked before any seed is built; then the seeds are built
     here, rung by rung in start order.  With more than one worker
-    (``_workers``, at most ``max_workers`` unless that is 0) the descents of
-    the whole ladder run in a pool of forked worker processes that is joined
-    before this returns.  Each descent depends only on its
-    seed and ``opts``, so the results are the same for every worker count.
+    (``_workers`` for the seeds that built, at most ``max_workers`` unless
+    that is 0) the descents of the whole ladder run in a pool of forked
+    worker processes that is joined before this returns.  Each descent
+    depends only on its seed and ``opts``, so the results are the same for
+    every worker count.
     """
     for eps in eps_list:
         check_eps(eps)
-    rungs: list[list[tuple[str, GridFunction | TripwellError]]] = []
-    for eps in eps_list:
-        seeds = []
-        for kind, build in _seed_builders(spec, eps, opts, constants):
-            try:
-                seeds.append((kind, build()))
-            except TripwellError as exc:
-                seeds.append((kind, exc))
-        rungs.append(seeds)
-    tasks = [(eps, kind, init) for eps, seeds in zip(eps_list, rungs)
-             for kind, init in seeds if isinstance(init, GridFunction)]
-    workers = min(_workers(len(tasks)), max_workers or len(tasks))
+    tasks = [(eps, kind, init) for eps in eps_list
+             for kind, init in _seeds(spec, eps, opts, constants)]
+    built = sum(isinstance(init, GridFunction) for _, _, init in tasks)
+    workers = min(_workers(built), max_workers or built)
     if workers > 1:
         # loaded here, so that importing the package or the CLI does not
         # pay for multiprocessing
@@ -401,20 +394,10 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             outcomes = list(pool.map(_descend, repeat(spec), *zip(*tasks), repeat(opts)))
     else:
-        outcomes = [_descend(spec, eps, kind, init, opts) for eps, kind, init in tasks]
-    done = iter(outcomes)
-    ladder = []
-    for seeds in rungs:
-        starts = []
-        for kind, init in seeds:
-            r = init if isinstance(init, TripwellError) else next(done)
-            if isinstance(r, MinimizeResult) and r.u.grid is not init.grid:
-                # a profile back from a worker comes with a grid of its own,
-                # rebuilt from the pickled nodes: share the seed's grid again
-                r.u = GridFunction(init.grid, r.u.values, eps=r.u.eps, meta=r.u.meta)
-            starts.append((kind, r))
-        ladder.append(starts)
-    return ladder
+        outcomes = [_descend(spec, *task, opts) for task in tasks]
+    starts = [(kind, r) for (_, kind, _), r in zip(tasks, outcomes)]
+    # every rung has exactly opts.starts starts
+    return [starts[i:i + opts.starts] for i in range(0, len(starts), opts.starts)]
 
 
 def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),

@@ -119,6 +119,23 @@ def test_import_loads_no_process_pool(module):
     assert out.strip() == "[]"
 
 
+def test_constants_compute_no_gauss_legendre_rule_until_used():
+    # the rule is an eigenvalue solve; the canonical family never needs it
+    code = "\n".join((
+        "import numpy as np",
+        "def refuse(n): raise AssertionError('leggauss called')",
+        "np.polynomial.legendre.leggauss = refuse",
+        "from tripwell.constants import check_hypotheses, limit_constants",
+        "from tripwell.potential import PotentialSpec",
+        "spec = PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0))",
+        "check_hypotheses(spec, constants=limit_constants(spec))",
+        "print('ok')",
+    ))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "ok"
+
+
 # every name the package re-exports, by the submodule that defines it
 REEXPORTS = {
     "constants": ("HypothesisReport", "LimitConstants", "check_hypotheses", "eval_f",

@@ -63,6 +63,14 @@ def test_cached_geometry_is_computed_once_and_exact():
     assert not (grid.width_pairs.flags.writeable or grid.interior_weights.flags.writeable)
 
 
+def test_profiles_compare_by_identity():
+    x, v = sample_profile()
+    u = GridFunction(x, v)
+    assert u == u
+    assert u != u.with_values(u.values)
+    assert u != GridFunction(x, v)
+
+
 @pytest.mark.parametrize("dumps", [
     pickle.dumps, lambda obj: bytes(ForkingPickler.dumps(obj, 4))], ids=["pickle", "forking"])
 def test_pickle_round_trip_keeps_arrays_read_only(dumps):

@@ -230,6 +230,13 @@ def test_two_well_count_rules(ex1, c1):
     assert two_well_count(ex1, 0.07, 1.0, c1) == 5
     u = build_two_well_sawtooth(ex1, 0.07, constants=c1, counts_override=6)
     assert u.meta["N"] == 6
+    assert build_two_well_sawtooth(ex1, 0.07, constants=c1).meta["N"] == 5
+
+
+@pytest.mark.parametrize("length", [-1.0, 0.0, np.nan, np.inf])
+def test_two_well_count_rejects_a_bad_length(ex1, c1, length):
+    with pytest.raises(ParameterError, match="length must be finite and positive"):
+        two_well_count(ex1, 0.07, length, c1)
 
 
 def test_two_well_eps_too_large(ex1, c1):

@@ -157,6 +157,24 @@ def test_sweep_records_and_csv(ex1, c1):
     assert len(lines) == 3
 
 
+def test_competitor_seeds_descend(ex2, c2):
+    # H7 and H8 fail for example 2: their competitors take the third and
+    # fourth starts, and the two-well start still wins
+    res = multi_start(ex2, 0.07, MinimizeOptions(starts=5, max_iters=15), c2)
+    assert [s.start_kind for s in res.per_start] == \
+        ["two-well", "three-well", "h7-competitor", "h8-competitor", "random-0"]
+    assert all(np.isfinite(s.value) for s in res.per_start)
+    assert res.start_kind == "two-well"
+    assert res.value == min(s.value for s in res.per_start)
+
+
+def test_results_compare_without_raising(ex1, c1):
+    res = minimize_Ieps(ex1, 0.1, build_two_well_sawtooth(ex1, 0.1, constants=c1),
+                        MinimizeOptions(max_iters=2))
+    assert res == res
+    assert res != minimize_Ieps(ex1, 0.1, res.u, MinimizeOptions(max_iters=2))
+
+
 def test_sweep_requires_decreasing_ladder(ex1, c1):
     with pytest.raises(ParameterError):
         epsilon_sweep(ex1, [0.05, 0.07], FAST, c1)
@@ -171,7 +189,7 @@ def test_sweep_rejects_a_bad_eps_before_building_seeds(ex1, c1, monkeypatch):
     def no_seeds(*args):
         raise AssertionError("a seed was built")
 
-    monkeypatch.setattr(minimizer, "_seed_builders", no_seeds)
+    monkeypatch.setattr(minimizer, "_seeds", no_seeds)
     with pytest.raises(ParameterError, match="eps must be finite and positive"):
         epsilon_sweep(ex1, [0.1, 0.0], FAST, c1)
 
@@ -303,7 +321,7 @@ def test_pooled_winner_shares_the_seed_grid(ex1, c1, pooled, monkeypatch):
     monkeypatch.setattr(minimizer, "build_two_well_sawtooth", record)
     res = multi_start(ex1, 0.1, POOLED, c1)
     assert res.start_kind == "two-well"
-    assert res.u.grid is built[0].grid
+    assert np.array_equal(res.u.nodes, built[0].nodes)
     for a in (res.u.values, res.u.nodes, res.u.grid.width_pairs, res.u.slopes()):
         assert not a.flags.writeable
 
