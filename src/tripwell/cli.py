@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -46,12 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _digest(path) -> str:
-    with open(path, "rb") as fh:
-        return _digest_bytes(fh.read())
-
-
-def _digest_bytes(data: bytes) -> str:
+def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
@@ -80,32 +74,27 @@ def dumps12(obj) -> str:
     return json.dumps(_fmt_floats(obj), indent=2)
 
 
-def _manifest(command: str, digest: str | None, options: dict, t0: float) -> dict:
-    return {
-        "command": command,
-        "potential_digest": digest,
-        "options": options,
-        "tool_version": __version__,
-        "wall_time_s": time.time() - t0,
-    }
-
-
-def _emit(command: str, digest, options: dict, t0: float, payload: dict) -> None:
-    out = {"manifest": _manifest(command, digest, options, t0)}
-    out.update(payload)
-    print(dumps12(out))
-
-
-def _options(args, skip=("func", "command")) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in skip and not callable(v)}
+def _emit(args, digest: str, t0: float, payload: dict, out: str | None = None) -> None:
+    """Print the run manifest followed by ``payload`` as one JSON document, and
+    write the same text to ``out`` if given.  The manifest echoes every option
+    of the command."""
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    manifest = {"command": args.command, "potential_digest": digest, "options": options,
+                "tool_version": __version__, "wall_time_s": time.time() - t0}
+    text = dumps12({"manifest": manifest, **payload})
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
 
 
 def _load_spec(args) -> tuple[PotentialSpec, str]:
-    from .potential import load_potential
+    """The --potential spec and the SHA-256 of the bytes it was parsed from."""
+    from .potential import PotentialSpec
 
-    spec = load_potential(args.potential)
-    return spec, _digest(args.potential)
+    with open(args.potential, "rb") as fh:
+        data = fh.read()
+    return PotentialSpec.from_dict(json.loads(data.decode("utf-8"))), _digest(data)
 
 
 def _cmd_constants(args, t0):
@@ -113,7 +102,7 @@ def _cmd_constants(args, t0):
 
     spec, dig = _load_spec(args)
     c = limit_constants(spec, tol=args.tol)
-    _emit("constants", dig, _options(args), t0, {"constants": c.as_dict()})
+    _emit(args, dig, t0, {"constants": c.as_dict()})
     return 0
 
 
@@ -122,7 +111,7 @@ def _cmd_check_hypotheses(args, t0):
 
     spec, dig = _load_spec(args)
     rep = check_hypotheses(spec, y_max=args.ymax)
-    _emit("check-hypotheses", dig, _options(args), t0, {"hypotheses": rep.as_dict()})
+    _emit(args, dig, t0, {"hypotheses": rep.as_dict()})
     return 0
 
 
@@ -135,6 +124,8 @@ def _cmd_construct(args, t0):
         build_two_well_sawtooth,
     )
 
+    if args.l0 is not None and not 0.0 < args.l0 < 1.0:
+        raise ParameterError("--l0 must lie in (0, 1)")
     spec, dig = _load_spec(args)
     c = limit_constants(spec)
     if args.kind == "two-well":
@@ -152,8 +143,7 @@ def _cmd_construct(args, t0):
     else:  # pragma: no cover - argparse choices guard this
         raise _UsageError(f"unknown kind {args.kind}")
     gf.save(args.out)
-    _emit("construct", dig, _options(args), t0,
-          {"profile": {"out": args.out, "nodes": len(gf), "meta": gf.meta}})
+    _emit(args, dig, t0, {"profile": {"out": args.out, "nodes": len(gf), "meta": gf.meta}})
     return 0
 
 
@@ -172,7 +162,7 @@ def _cmd_energy(args, t0):
         raise _UsageError("profile carries no eps; pass --eps")
     # a given --eps, valid or not, goes to energy_Ieps, which checks it
     br = energy_Ieps(gf, gf.eps if args.eps is None else args.eps, spec)
-    _emit("energy", dig, _options(args), t0, {"energy": br.as_dict()})
+    _emit(args, dig, t0, {"energy": br.as_dict()})
     return 0
 
 
@@ -188,7 +178,7 @@ def _cmd_minimize(args, t0):
                      "per_start": [[s.start_kind, s.value, s.converged] for s in best.per_start]},
     })
     best.u.save(args.out)
-    _emit("minimize", dig, {**_options(args), "seed": opts.seed}, t0, {"minimize": {
+    _emit(args, dig, t0, {"minimize": {
         "out": args.out, "value": best.value, "converged": best.converged,
         "start_kind": best.start_kind,
         "per_start": {s.start_kind: s.value for s in best.per_start},
@@ -206,7 +196,7 @@ def _cmd_sweep(args, t0):
     csv_text = sweep_to_csv(records)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
-    _emit("sweep", dig, {**_options(args), "seed": opts.seed}, t0, {"sweep": {
+    _emit(args, dig, t0, {"sweep": {
         "out": args.out,
         "records": [{
             "eps": r.eps, "best_value": r.best_value, "eta": r.eta,
@@ -236,10 +226,9 @@ def _eps_ladder(text: str) -> list[float]:
 def _make_opts(args) -> MinimizeOptions:
     from .minimizer import MinimizeOptions
 
-    seed = int(os.environ.get("TRIPWELL_SEED", args.seed))
     return MinimizeOptions(
         grid_n=args.grid_n, max_iters=args.max_iters, grad_tol=args.grad_tol,
-        starts=args.starts, seed=seed,
+        starts=args.starts, seed=args.seed,
     )
 
 
@@ -259,7 +248,7 @@ def _cmd_analyze(args, t0):
                 fh.write(f"{lo:.12g},{hi:.12g},{m:.12g}\n")
     payload = rep.as_dict()
     payload["thresholds"] = {"R_lo": args.r_lo, "R_hi": args.r_hi}
-    _emit("analyze", dig, _options(args), t0, {"measure_report": payload})
+    _emit(args, dig, t0, {"measure_report": payload})
     return 0
 
 
@@ -306,14 +295,8 @@ def _cmd_paper_examples(args, t0):
         }
     summary["example-2"]["competitors"] = comps
 
-    dig = _digest_bytes(json.dumps(EXAMPLE_POTENTIALS, sort_keys=True).encode())
-    out = {"manifest": _manifest("paper-examples", dig, _options(args), t0),
-           "summary": summary}
-    text = dumps12(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    dig = _digest(json.dumps(EXAMPLE_POTENTIALS, sort_keys=True).encode())
+    _emit(args, dig, t0, {"summary": summary}, out=args.out)
     return 0
 
 
@@ -324,7 +307,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("constants", parents=[], help="limit constants of a potential")
     sp.add_argument("--potential", required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-10)
     sp.set_defaults(func=_cmd_constants)
 
     sp = sub.add_parser("check-hypotheses", help="decide H6-H8")

@@ -273,9 +273,10 @@ def _teeth(spec: PotentialSpec, eps: float, interval: tuple[float, float],
     a, b = interval
     if not b > a:
         raise ParameterError("empty interval")
+    length = b - a
+    _check_length(length)
     c = constants if constants is not None else limit_constants(spec)
     period, name = (c.d_star, "N") if kind == "two-well" else (c.h_star, "M")
-    length = b - a
     n = count if count is not None else _tooth_count(length, eps, period)
     if n < 2:
         raise ConstructionError(
@@ -289,6 +290,11 @@ def _teeth(spec: PotentialSpec, eps: float, interval: tuple[float, float],
 # two-well sawtooth
 # ---------------------------------------------------------------------------
 
+def _check_length(length: float) -> None:
+    if not 0.0 < length < np.inf:
+        raise ParameterError("length must be finite and positive")
+
+
 def _tooth_count(length: float, eps: float, period: float) -> int:
     """The tooth rule: the smallest integer above length/(eps*period)."""
     return int(np.floor(length / (eps * period))) + 1
@@ -298,8 +304,7 @@ def two_well_count(spec: PotentialSpec, eps: float, length: float,
                    constants: LimitConstants | None = None) -> int:
     """Default two-well tooth count: ``_tooth_count`` with period d*."""
     check_eps(eps)
-    if not 0.0 < length < np.inf:
-        raise ParameterError("length must be finite and positive")
+    _check_length(length)
     c = constants if constants is not None else limit_constants(spec)
     return _tooth_count(length, eps, c.d_star)
 

@@ -59,6 +59,8 @@ class MinimizeOptions:
             raise ParameterError("grad_tol must be finite and positive")
         if self.starts < 1:
             raise ParameterError("need at least one start")
+        if self.seed < 0:
+            raise ParameterError("seed must be non-negative")
 
 
 # the variables that set a BLAS's threads per process, in the order it reads them
@@ -407,10 +409,11 @@ def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
     """Run descent from every seed and return the argmin.
 
     Fully deterministic given ``opts.seed``; ties break on start order.  Seeds
-    that fail to construct or to take a single step are recorded and skipped;
-    if every start fails, the per-start reasons are aggregated.  ``starts``
-    are the finished starts of this rung when ``epsilon_sweep`` ran them
-    with the rest of its ladder (see ``_run_starts``).
+    that fail to construct or to take a single step are dropped: ``per_start``
+    lists only the starts that built and descended.  If every start fails, the
+    error aggregates the per-start reasons.  ``starts`` are the finished
+    starts of this rung when ``epsilon_sweep`` ran them with the rest of its
+    ladder (see ``_run_starts``).
     """
     if starts is None:
         c = constants if constants is not None else limit_constants(spec)

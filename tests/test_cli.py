@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import hashlib
+import inspect
 import json
 import os
 import re
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from tripwell import GridFunction
-from tripwell.cli import main
+from tripwell.cli import build_parser, main
 
 EX1 = {"kind": "polynomial-triple-well", "wells": [-1.0, 1.0 / 3.0, 1.0]}
 EX2 = {"kind": "polynomial-triple-well", "wells": [-1.0, 0.5, 1.0]}
@@ -162,19 +165,19 @@ def test_sweep_rejects_rising_ladder_for_every_jobs_value(spec_files, tmp_path):
     assert errs[0] == errs[1]
 
 
-def test_seed_env_override(spec_files, tmp_path):
+def test_seed_comes_from_the_flag_alone(spec_files, tmp_path):
+    # a TRIPWELL_SEED left in the environment changes nothing
     p1, _ = spec_files
-    a = str(tmp_path / "a.csv")
-    b = str(tmp_path / "b.csv")
-    r = run_cli("sweep", "--potential", p1, "--eps", "0.1", "--starts", "3",
-                "--max-iters", "10", "--seed", "1", "--grid-n", "2001", "--out", a,
-                env={"TRIPWELL_SEED": "9"})
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["manifest"]["options"]["seed"] == 9
-    r = run_cli("sweep", "--potential", p1, "--eps", "0.1", "--starts", "3",
-                "--max-iters", "10", "--seed", "9", "--grid-n", "2001", "--out", b)
-    assert r.returncode == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    csvs = []
+    for name, env in (("a.csv", {"TRIPWELL_SEED": "9"}), ("b.csv", None)):
+        out = str(tmp_path / name)
+        r = run_cli("sweep", "--potential", p1, "--eps", "0.1", "--starts", "3",
+                    "--max-iters", "10", "--seed", "1", "--grid-n", "2001", "--out", out,
+                    env=env)
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["manifest"]["options"]["seed"] == 1
+        csvs.append(open(out, "rb").read())
+    assert csvs[0] == csvs[1]
 
 
 def test_json_output_deterministic(spec_files):
@@ -208,6 +211,11 @@ def test_exit_codes(spec_files, tmp_path):
                 ["minimize", "--eps", "0.1", "--out", str(tmp_path / "m.json"),
                  "--grad-tol", "nan"],
                 ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--jobs", "-1"],
+                ["sweep", "--eps", "0.1", "--out", str(tmp_path / "s.csv"), "--seed", "-1"],
+                *(["construct", "--eps", "0.07", "--kind", kind, "--l0", l0,
+                   "--out", str(tmp_path / "x.json")]
+                  for kind in ("two-well", "three-well")
+                  for l0 in ("inf", "nan", "1.5", "0", "1")),
                 ["construct", "--eps", "0.07", "--kind", "h7", "--yhat", "nan",
                  "--out", str(tmp_path / "x.json")],
                 ["construct", "--eps", "0.07", "--kind", "h8", "--yhat", "inf",
@@ -296,6 +304,7 @@ def test_non_finite_output_fails(spec_files, tmp_path):
 def test_digest_tracks_file_bytes(spec_files, tmp_path):
     p1, _ = spec_files
     d1 = json.loads(run_cli("constants", "--potential", p1).stdout)["manifest"]["potential_digest"]
+    assert d1 == hashlib.sha256(open(p1, "rb").read()).hexdigest()
     other = tmp_path / "copy.json"
     other.write_text(open(p1).read())
     d2 = json.loads(run_cli("constants", "--potential", str(other)).stdout)["manifest"]["potential_digest"]
@@ -309,7 +318,8 @@ def test_paper_examples_summary(tmp_path):
     out = str(tmp_path / "summary.json")
     r = run_cli("paper-examples", "--out", out)
     assert r.returncode == 0
-    summary = json.loads(open(out).read())["summary"]
+    assert open(out, "rb").read() == r.stdout.encode()
+    summary = json.loads(r.stdout)["summary"]
     c1 = summary["example-1"]["constants"]
     assert abs(c1["A0"] - 0.718) <= 1e-3
     assert summary["example-1"]["hypotheses"]["H7"]["status"] == "holds"
@@ -318,6 +328,29 @@ def test_paper_examples_summary(tmp_path):
     assert comp["h8"]["beats_line_in_the_limit"]
     ladder = summary["example-1"]["two_well_ladder"]
     assert all(0.9 * e["limit"] <= e["I_eps"] <= 1.25 * e["limit"] for e in ladder)
+
+
+def test_flag_defaults_match_the_library():
+    from tripwell.analysis import measure_report
+    from tripwell.constants import check_hypotheses, limit_constants
+    from tripwell.minimizer import MinimizeOptions
+
+    def defaults(*argv):
+        return vars(build_parser().parse_args([*argv, "--potential", "p.json"]))
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    opts = dataclasses.asdict(MinimizeOptions())
+    for argv in (["minimize", "--eps", "0.1", "--out", "m.json"],
+                 ["sweep", "--eps", "0.1", "--out", "s.csv"]):
+        flags = defaults(*argv)
+        assert {k: flags[k] for k in opts} == opts, argv
+    assert defaults("check-hypotheses")["ymax"] == default(check_hypotheses, "y_max")
+    analyze = defaults("analyze", "--profile", "u.json", "--eta", "0.2")
+    assert analyze["bins"] == default(measure_report, "bins")
+    assert (analyze["r_lo"], analyze["r_hi"]) == default(measure_report, "thresholds")
+    assert defaults("constants")["tol"] == default(limit_constants, "tol")
 
 
 def test_main_in_process_usage_error():

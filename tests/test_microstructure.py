@@ -398,6 +398,10 @@ def test_sawtooth_builders_report_too_few_teeth(ex1, c1, build, kind, name):
                                f"minimal admissible {name} is 2")
     with pytest.raises(ParameterError, match="empty interval"):
         build(ex1, 0.07, interval=(0.5, 0.5), constants=c1)
+    # the tooth rule would ask for infinitely many teeth
+    for interval in ((0.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ParameterError, match="length must be finite and positive"):
+            build(ex1, 0.07, interval=interval, constants=c1)
 
 
 # ---------------------------------------------------------------------------

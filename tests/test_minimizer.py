@@ -213,7 +213,7 @@ def test_sweep_deterministic(ex1, c1):
 def test_options_validation():
     for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-4}, {"grad_tol": np.nan},
                 {"grad_tol": np.inf}, {"starts": 0}, {"grid_n": 2},
-                {"max_iters": 0}, {"max_iters": -1}):
+                {"max_iters": 0}, {"max_iters": -1}, {"seed": -1}):
         with pytest.raises(ParameterError):
             MinimizeOptions(**bad)
     MinimizeOptions(grid_n=3, max_iters=1)
