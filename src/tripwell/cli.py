@@ -8,7 +8,8 @@ byte-identical output apart from the manifest's wall_time_s field and the
 descent_s of each start in the minimize and sweep payloads.
 
 Each subcommand imports the layers it runs when it runs, so a cold command
-loads only those.
+loads only those.  A command pins numpy's BLAS to one thread per process
+unless a thread variable is set already.
 """
 
 from __future__ import annotations
@@ -17,9 +18,18 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
+
+if "numpy" not in sys.modules:
+    # one BLAS thread per process unless the caller chose: threaded dot
+    # products make every descent slower and its result depend on the CPU
+    # count; a library caller that loaded numpy first keeps its own setting
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -11,14 +11,14 @@ pinned), and midpoint on cells for W(u_x), whose argument is the piecewise
 constant cell slope.  The gradient is the exact derivative of this discrete
 functional with respect to interior nodal values.
 
-One kernel, ``_kernel``, does the work that depends on the values: one pass
-forms u_xx and returns the three raw energy parts and the exact gradient,
-each only when asked: ``energy_gradient`` skips the value integrals, the
-energies skip the gradient, and the descent objective takes both from one
-pass.  What depends on the nodes alone (cell widths, h_{j-1} + h_j, the
-interior trapezoid weights) comes from the ``Grid``, computed once and
-shared by every pass on it; a profile also keeps its slopes u_x.  The
-front-ends only validate, scale and package the kernel's output.
+A pass over the values forms u_x and u_xx once, and two stages share them:
+the value stage returns the three raw energy parts, the gradient stage the
+exact gradient.  The descent objective runs the gradient stage only when its
+line search reads the slope.  What depends on the nodes alone (cell widths,
+h_{j-1} + h_j, the interior trapezoid weights) comes from the ``Grid``,
+computed once and shared by every pass on it; a profile also keeps its
+slopes u_x.  The front-ends only validate, scale and package the stages'
+output.
 
 Any density object exposing W(s)/dW(s) is accepted, so decoupled convexity
 checks can swap in a plain quadratic.
@@ -85,53 +85,47 @@ def _stencil(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, np.negative(b, out=b), c
 
 
-def _kernel(grid: Grid, v: np.ndarray, ux: np.ndarray, eps: float, density,
-            value: bool = True, grad: bool = False, stencil=None):
-    """One pass over values v with cell slopes ux: (raw parts, E_eps gradient).
+def _value_parts(grid: Grid, v: np.ndarray, ux: np.ndarray, uxx: np.ndarray, density
+                 ) -> tuple[float, float, float]:
+    """The value stage of a pass: the raw integrals of u_xx^2, W(u_x) and u^2."""
+    # the in-place steps here and in ``_gradient_stage`` do the arithmetic of
+    # the plain expressions in their comments, in the same order, without a
+    # fresh grid-sized temporary per operation
+    u2 = v * v
+    u2_cells = u2[:-1] + u2[1:]
+    u2_cells *= 0.5                            # 0.5 * (u2[:-1] + u2[1:])
+    return (float(np.dot(grid.interior_weights, uxx * uxx)),
+            float(np.dot(grid.widths, density.W(ux))), float(np.dot(grid.widths, u2_cells)))
 
-    The raw parts (None unless ``value``) are the unscaled integrals of
-    u_xx^2, W(u_x) and u^2; the gradient (interior nodes, None unless
-    ``grad``) is the E_eps one, so eps enters only there.  ``stencil`` is
-    ``_stencil(grid)`` when the caller keeps it across passes.  No boundary
-    or eps validation happens here.
-    """
-    h, w_int = grid.widths, grid.interior_weights
-    uxx = _second_difference(grid, ux)
-    raw = g = None
-    # the in-place steps below do the arithmetic of the plain expressions in
-    # their comments, in the same order, without a fresh grid-sized
-    # temporary per operation
-    if value:
-        u2 = v * v
-        u2_cells = u2[:-1] + u2[1:]
-        u2_cells *= 0.5                        # 0.5 * (u2[:-1] + u2[1:])
-        raw = (float(np.dot(w_int, uxx * uxx)), float(np.dot(h, density.W(ux))),
-               float(np.dot(h, u2_cells)))
-    if grad:
-        # interface term: chain rule through the stencil; the slice adds keep
-        # the per-node order (a, then b, then c) of a scatter-add
-        a, b, c = stencil if stencil is not None else _stencil(grid)
-        t = 2.0 * w_int
-        t *= uxx                               # 2 * w_int * uxx
-        g_if = np.zeros(len(v))
-        tmp = t * a
-        g_if[:-2] += tmp
-        g_if[1:-1] += np.multiply(t, b, out=tmp)
-        g_if[2:] += np.multiply(t, c, out=tmp)
-        # W term: cells j-1 and j both see u_j through their slopes
-        dW = np.asarray(density.dW(ux))
-        # u^2 term under the nodal trapezoid rule; together
-        # g = eps^6 * g_if[1:-1] + (dW[:-1] - dW[1:]) + v[1:-1] * (h[:-1] + h[1:])
-        g = g_if[1:-1]
-        g *= eps**6
-        g += np.subtract(dW[:-1], dW[1:], out=tmp)
-        g += np.multiply(v[1:-1], grid.width_pairs, out=tmp)
-    return raw, g
+
+def _gradient_stage(grid: Grid, v: np.ndarray, ux: np.ndarray, uxx: np.ndarray, eps: float,
+                    density, stencil) -> np.ndarray:
+    """The gradient stage of a pass: the E_eps gradient at the interior nodes,
+    with ``stencil`` = ``_stencil(grid)``; eps enters only here."""
+    # interface term: chain rule through the stencil; the slice adds keep
+    # the per-node order (a, then b, then c) of a scatter-add
+    a, b, c = stencil
+    t = 2.0 * grid.interior_weights
+    t *= uxx                                   # 2 * w_int * uxx
+    g_if = np.zeros(len(v))
+    tmp = t * a
+    g_if[:-2] += tmp
+    g_if[1:-1] += np.multiply(t, b, out=tmp)
+    g_if[2:] += np.multiply(t, c, out=tmp)
+    # W term: cells j-1 and j both see u_j through their slopes
+    dW = np.asarray(density.dW(ux))
+    # u^2 term under the nodal trapezoid rule; together
+    # g = eps^6 * g_if[1:-1] + (dW[:-1] - dW[1:]) + v[1:-1] * (h[:-1] + h[1:])
+    g = g_if[1:-1]
+    g *= eps**6
+    g += np.subtract(dW[:-1], dW[1:], out=tmp)
+    g += np.multiply(v[1:-1], grid.width_pairs, out=tmp)
+    return g
 
 
 def _scale_parts(raw: tuple[float, float, float], eps: float, scaling: str
                  ) -> tuple[float, float, float]:
-    """(interface, bulk_W, bulk_u2) of a kernel pass in ``scaling``."""
+    """(interface, bulk_W, bulk_u2) of a value stage in ``scaling``."""
     raw_if, raw_W, raw_u2 = raw
     if scaling == I_EPS:
         return eps**4 * raw_if, raw_W / eps**2, raw_u2 / eps**2
@@ -141,9 +135,9 @@ def _scale_parts(raw: tuple[float, float, float], eps: float, scaling: str
 
 
 def _scale_gradient(g: np.ndarray, eps: float, scaling: str) -> np.ndarray:
-    """The E_eps gradient of a kernel pass, rescaled in place to ``scaling``."""
+    """The E_eps gradient of a gradient stage, rescaled in place to ``scaling``."""
     if scaling == I_EPS:
-        # in place: a scaled copy would free the kernel's buffer, the last
+        # in place: a scaled copy would free the stage's buffer, the last
         # grid-sized block on the heap, and the allocator hands such a
         # freed top back to the system, so every later call faults it in
         g /= eps**2
@@ -153,20 +147,24 @@ def _scale_gradient(g: np.ndarray, eps: float, scaling: str) -> np.ndarray:
 
 
 def _ieps_objective(grid: Grid, eps: float, density):
-    """The descent objective on ``grid``: nodal values -> (I_eps, gradient).
+    """The descent objective on ``grid``: nodal values v -> (I_eps, gradient),
+    the gradient a callable of no argument.
 
-    One kernel pass per call, bit-identical to ``energy_Ieps(...).total`` and
-    ``energy_gradient``; the grid's geometry and stencil are formed once,
-    here, so a call does only the work that depends on the values.
+    A call runs one pass and its value stage; the callable runs the gradient
+    stage on the same pass, and must be called before v changes.  Both are
+    bit-identical to ``energy_Ieps(...).total`` and ``energy_gradient``; the
+    grid's geometry and stencil are formed once, here, so a call does only
+    the work that depends on the values.
     """
     stencil = _stencil(grid)
     h = grid.widths
 
-    def fg(v: np.ndarray) -> tuple[float, np.ndarray]:
-        raw, g = _kernel(grid, v, np.diff(v) / h, eps, density, grad=True,
-                         stencil=stencil)
-        parts = _scale_parts(raw, eps, I_EPS)
-        return float(parts[0] + parts[1] + parts[2]), _scale_gradient(g, eps, I_EPS)
+    def fg(v: np.ndarray):
+        ux = np.diff(v) / h
+        uxx = _second_difference(grid, ux)
+        parts = _scale_parts(_value_parts(grid, v, ux, uxx, density), eps, I_EPS)
+        return float(parts[0] + parts[1] + parts[2]), lambda: _scale_gradient(
+            _gradient_stage(grid, v, ux, uxx, eps, density, stencil), eps, I_EPS)
 
     return fg
 
@@ -192,9 +190,8 @@ def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
 
 def energy_breakdown(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> EnergyBreakdown:
     check_eps(eps)
-    ux = u.slopes()
-    raw, _ = _kernel(u.grid, u.values, ux, eps, density)
-    parts = _scale_parts(raw, eps, scaling)
+    ux, uxx = discrete_derivatives(u)
+    parts = _scale_parts(_value_parts(u.grid, u.values, ux, uxx, density), eps, scaling)
     return EnergyBreakdown(
         total=parts[0] + parts[1] + parts[2],
         interface=parts[0], bulk_W=parts[1], bulk_u2=parts[2],
@@ -216,7 +213,8 @@ def energy_Eeps(u: GridFunction, eps: float, density) -> EnergyBreakdown:
 def energy_gradient(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> np.ndarray:
     """d(energy)/d(u_j) at interior nodes (boundary nodes are pinned)."""
     check_eps(eps)
-    _, g = _kernel(u.grid, u.values, u.slopes(), eps, density, value=False, grad=True)
+    ux, uxx = discrete_derivatives(u)
+    g = _gradient_stage(u.grid, u.values, ux, uxx, eps, density, _stencil(u.grid))
     return _scale_gradient(g, eps, scaling)
 
 
@@ -238,6 +236,7 @@ def interface_plus_W(u: GridFunction, eps: float, density,
     # operate on raw slices: boundary-zero validation does not apply here
     grid = Grid(nodes[i0:i1 + 1])
     v = u.values[i0:i1 + 1]
-    raw, _ = _kernel(grid, v, np.diff(v) / grid.widths, eps, density)
+    ux = np.diff(v) / grid.widths
+    raw = _value_parts(grid, v, ux, _second_difference(grid, ux), density)
     interface, bulk_W, _ = _scale_parts(raw, eps, I_EPS)
     return interface + bulk_W

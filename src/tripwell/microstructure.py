@@ -84,10 +84,11 @@ def _transition_table(spec: PotentialSpec, z_lo: float, z_hi: float,
     span = z_hi - z_lo
     delta = 1e-12 * span
     offs = np.geomspace(delta, 0.25 * span, TABLE_SIDE_PTS)
-    w_pts = np.unique(np.concatenate([
+    w_pts = np.sort(np.concatenate([
         [anchor_w], z_lo + offs, z_hi - offs,
         np.linspace(z_lo + 0.2 * span, z_hi - 0.2 * span, TABLE_MID_PTS),
     ]))
+    w_pts = w_pts[np.concatenate([[True], w_pts[1:] != w_pts[:-1]])]     # exact repeats out
     steps = gauss_legendre_panels(lambda w: 1.0 / sqrt_W(spec, w), w_pts)
     x = np.concatenate([[0.0], np.cumsum(steps)])
     x -= np.interp(anchor_w, w_pts, x)
@@ -169,6 +170,12 @@ TOOTH_PLATEAU_PTS = 49    # coarse nodes across one tooth
 PERIOD_PLATEAU_PTS = 129  # coarse nodes across one competitor period
 TOOTH_MARGIN = 4.0        # eps^3 units of window beyond a tooth's transition
 ZERO_MEAN_STEPS = 12      # mean-removal steps before a piece is given up
+MAX_NODES = 10**7         # largest profile a builder makes: 80 MB per array
+
+
+def _too_many_nodes(what: str) -> ParameterError:
+    return ParameterError(f"{what} needs more than MAX_NODES={MAX_NODES} nodes: "
+                          "raise eps or shorten the interval")
 
 
 def _piece_nodes(l: float, coarse: np.ndarray, windows, eps: float) -> np.ndarray:
@@ -176,15 +183,18 @@ def _piece_nodes(l: float, coarse: np.ndarray, windows, eps: float) -> np.ndarra
 
     The coarse nodes, plus steps of eps^3/LAYER_RES over each transition
     window (lo, hi), widened by two steps and clipped to [0, l].  A node
-    within 1e-9 of a step of its left neighbour is dropped.
+    within 1e-9 of a step of its left neighbour is dropped, and so is every
+    exact repeat.  A window of more than MAX_NODES steps is refused.
     """
     step = eps**3 / LAYER_RES
     parts = [coarse]
     for lo, hi in windows:
         a = max(0.0, lo - 2.0 * step)
         b = min(l, hi + 2.0 * step)
+        if not b - a < MAX_NODES * step:      # also when eps^3 underflows to 0
+            raise _too_many_nodes("a transition window")
         parts += [np.arange(a, b, step), [b]]
-    pts = np.unique(np.concatenate(parts))
+    pts = np.sort(np.concatenate(parts))
     pts = pts[np.concatenate([[True], np.diff(pts) > 1e-9 * step])]
     pts[0], pts[-1] = 0.0, l
     return pts
@@ -254,6 +264,8 @@ def _sawtooth(transition, plateaus: tuple[float, float], interval: tuple[float, 
     s, rel, w = _zero_mean(piece, za - zb, l * max(abs(za), abs(zb)))
     if not abs(s) <= bound:
         raise ConstructionError("eps too large: no admissible zero-mean shift")
+    if 1 + n * (len(rel) - 1) > MAX_NODES:
+        raise _too_many_nodes(f"a {meta['kind']} profile of {n} teeth")
     meta["omega_star"] = om0 + s
     up, down = (rel, w), (l - rel[::-1], w[::-1])
     teeth = [up if i % 2 == 0 else down for i in range(n)]
@@ -296,7 +308,13 @@ def _check_length(length: float) -> None:
 
 
 def _tooth_count(length: float, eps: float, period: float) -> int:
-    """The tooth rule: the smallest integer above length/(eps*period)."""
+    """The tooth rule: the smallest integer above length/(eps*period).
+
+    A rule whose teeth alone would hold more than MAX_NODES coarse nodes is
+    refused before the count is formed or any tooth is built.
+    """
+    if not length * TOOTH_PLATEAU_PTS <= MAX_NODES * eps * period:
+        raise _too_many_nodes("the tooth rule at this eps and length")
     return int(np.floor(length / (eps * period))) + 1
 
 
@@ -541,14 +559,22 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
 
     _, nodes, vals = _zero_mean(piece, zvals[jstar] - zvals[jstar + 1],
                                 T * max(abs(z1), z3))
+    if 1 + periods * (len(nodes) - 1) > MAX_NODES:
+        raise _too_many_nodes(f"a profile of {periods} pattern periods")
     return _assemble_pieces(0.0, 1.0, T, [(nodes, vals)] * periods, eps, meta={})
 
 
 def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPlan,
                             length: float = 1.0) -> int:
-    """Number of pattern periods: nearest integer to 1/T* with T* = eps*(c/(2J))^(1/3)."""
+    """Number of pattern periods: nearest integer to 1/T* with T* = eps*(c/(2J))^(1/3).
+
+    Like the tooth rule, a count whose periods alone would hold more than
+    MAX_NODES coarse nodes is refused before it is formed.
+    """
     check_eps(eps)
     t_star = eps * (plan.c_int / (2.0 * plan.J)) ** (1.0 / 3.0)
+    if not length * PERIOD_PLATEAU_PTS <= MAX_NODES * t_star:
+        raise _too_many_nodes("the period rule at this eps and length")
     return int(round(length / t_star))
 
 

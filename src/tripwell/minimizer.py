@@ -171,11 +171,12 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     Unconstrained L-BFGS with the exact gradient (Nocedal & Wright, ch. 7):
     the two-loop recursion over the newest ``MEMORY`` correction pairs and a
     weak-Wolfe line search (``_wolfe_step``).  Each objective evaluation is
-    one pass of the energy kernel over the geometry of ``init``'s grid, and
-    every accepted step lowers ``I_eps``, so the last iterate is returned.
+    one energy pass over the geometry of ``init``'s grid, whose gradient is
+    formed only where the line search reads the slope, and every accepted
+    step lowers ``I_eps``, so the last iterate is returned.
     ``history`` holds the energy of ``init`` and then the energy at each
     accepted iterate (``iterations + 1`` entries, decreasing); ``n_fev``
-    counts the objective evaluations.  ``reason`` says why the descent
+    counts the energy evaluations.  ``reason`` says why the descent
     stopped: ``grad_tol`` (the gradient's sup-norm is at most
     ``opts.grad_tol``; only then is ``converged`` True), ``max_iters``, or
     ``line_search`` (no step lowers the energy enough).
@@ -192,9 +193,10 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
         return objective(full)
 
     x = full[1:-1].copy()
-    f, g = fg(x)
+    f, grad = fg(x)
     if not np.isfinite(f):
         raise NumericError(f"the start's energy is {f}")
+    g = grad()
     history = [f]
     pairs = deque(maxlen=MEMORY)           # (s, y, 1 / s.y), oldest first
     gamma = 1.0                            # initial scaling s.y / y.y of the newest pair
@@ -258,12 +260,15 @@ def _wolfe_step(fg, x: np.ndarray, f: float, gd: float, d: np.ndarray, step: flo
     """A step along the descent direction ``d`` that meets the weak Wolfe
     conditions: (x, f, g) at the new point, or None.
 
-    ``gd`` is the slope g.d at ``x``.  A trial that does not lower the energy
-    by ``ARMIJO * step * gd``, or whose energy or slope is not finite, is too
-    long, and the step shrinks by safeguarded quadratic interpolation; one
-    whose slope is still below ``CURVATURE * gd`` is too short, and the step
-    grows 4x until a too-long trial brackets it.  After ``MAX_TRIALS``
-    trials the longest point that lowered the energy enough is taken, if any.
+    ``fg`` maps a point to its energy and a callable of no argument for its
+    gradient.  ``gd`` is the slope g.d at ``x``.  A trial that does not lower
+    the energy by ``ARMIJO * step * gd``, or whose energy or slope is not
+    finite, is too long, and the step shrinks by safeguarded quadratic
+    interpolation; only a trial that lowers the energy enough has its
+    gradient formed and its slope read.  One whose slope is still below
+    ``CURVATURE * gd`` is too short, and the step grows 4x until a too-long
+    trial brackets it.  After ``MAX_TRIALS`` trials the longest point that
+    lowered the energy enough is taken, if any.
     """
     lo, f_lo, gd_lo = 0.0, f, gd
     hi = f_hi = np.inf
@@ -272,9 +277,10 @@ def _wolfe_step(fg, x: np.ndarray, f: float, gd: float, d: np.ndarray, step: flo
         # a trial that overflows is too long, not an error
         with np.errstate(over="ignore", invalid="ignore"):
             x_new = x + step * d
-            f_new, g_new = fg(x_new)
-            gd_new = float(g_new @ d)
-        if f_new < f and f_new <= f + ARMIJO * step * gd and np.isfinite(gd_new):
+            f_new, grad = fg(x_new)
+            g_new = grad() if f_new < f and f_new <= f + ARMIJO * step * gd else None
+            gd_new = np.nan if g_new is None else float(g_new @ d)
+        if np.isfinite(gd_new):
             if gd_new >= CURVATURE * gd:
                 return x_new, f_new, g_new
             lo, f_lo, gd_lo = step, f_new, gd_new

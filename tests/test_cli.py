@@ -18,7 +18,7 @@ EX1 = {"kind": "polynomial-triple-well", "wells": [-1.0, 1.0 / 3.0, 1.0]}
 EX2 = {"kind": "polynomial-triple-well", "wells": [-1.0, 0.5, 1.0]}
 
 
-# with the BLAS threads pinned, sweep may run its descents in worker processes
+# the BLAS threads pinned from outside, which the CLI does itself when nothing is set
 BLAS_PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -149,6 +149,41 @@ def test_sweep_jobs_match_serial(spec_files, tmp_path):
             [["two-well", "three-well"]] * 2
         assert all(s["reason"] == "max_iters" for rec in records for s in rec["starts"])
     assert outs[0] == outs[1]
+
+
+# every variable that sets the threads of some BLAS
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs one BLAS thread anyway")
+def test_sweep_output_does_not_depend_on_blas_thread_variables(spec_files, tmp_path):
+    # threaded OpenBLAS splits a dot product's additions over its threads:
+    # unpinned, this sweep once wrote best_value 0.538953110135 for 0.538953109679
+    p1, _ = spec_files
+    csvs = []
+    for name, pins in (("unpinned", {}), ("pinned", BLAS_PINNED)):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        out = tmp_path / f"{name}.csv"
+        r = subprocess.run([sys.executable, "-m", "tripwell.cli", "sweep", "--potential", p1,
+                            "--eps", "0.07", "--starts", "2", "--out", str(out)],
+                           capture_output=True, text=True, env={**env, **pins})
+        assert r.returncode == 0, r.stderr
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("command", ["construct", "minimize", "sweep"])
+def test_eps_past_the_node_limit_exits_2(spec_files, tmp_path, command):
+    # at eps 1e-9 the two-well tooth rule asks for 340,710,112 teeth
+    p1, _ = spec_files
+    out = tmp_path / "out"
+    kind = ["--kind", "two-well"] if command == "construct" else []
+    r = run_cli(command, "--potential", p1, "--eps", "1e-9", *kind, "--out", str(out))
+    assert r.returncode == 2
+    err = json.loads(r.stderr)["error"]
+    assert err["type"] == "ParameterError" and "MAX_NODES" in err["message"]
+    assert not out.exists()
 
 
 def test_sweep_rejects_rising_ladder_for_every_jobs_value(spec_files, tmp_path):

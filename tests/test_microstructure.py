@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -402,6 +404,63 @@ def test_sawtooth_builders_report_too_few_teeth(ex1, c1, build, kind, name):
     for interval in ((0.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)):
         with pytest.raises(ParameterError, match="length must be finite and positive"):
             build(ex1, 0.07, interval=interval, constants=c1)
+
+
+def node_limit_builds(ex1, ex2, c1, c2):
+    return {
+        "two-well": lambda eps, **kw: build_two_well_sawtooth(ex1, eps, constants=c1, **kw),
+        "three-well": lambda eps, **kw: build_three_well_profile(ex1, eps, constants=c1, **kw),
+        "h7": lambda eps: build_h7_competitor(ex2, eps, 0.585, constants=c2),
+        "h8": lambda eps: build_h8_competitor(ex2, eps, 0.204, constants=c2),
+    }
+
+
+@pytest.fixture()
+def no_assembly(monkeypatch):
+    from tripwell import microstructure
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused profile reached the assembly")
+
+    monkeypatch.setattr(microstructure, "_assemble_pieces", unreachable)
+
+
+@pytest.mark.parametrize("kind", ["two-well", "three-well", "h7", "h8"])
+@pytest.mark.parametrize("eps", [1e-9, 1e-300, 1e-4])
+def test_builders_refuse_a_profile_above_max_nodes(ex1, ex2, c1, c2, no_assembly, kind, eps):
+    # 1e-9 asks for 340,710,112 two-well teeth and 1e-300 for a 300-digit
+    # count: both are refused from the count; at 1e-4 the count passes and
+    # the nodes of the built piece times the count exceed the limit
+    with pytest.raises(ParameterError, match="MAX_NODES"):
+        node_limit_builds(ex1, ex2, c1, c2)[kind](eps)
+
+
+@pytest.mark.parametrize("kind", ["two-well", "three-well"])
+def test_sawtooth_builders_refuse_a_huge_interval(ex1, ex2, c1, c2, no_assembly, kind):
+    with pytest.raises(ParameterError, match="MAX_NODES"):
+        node_limit_builds(ex1, ex2, c1, c2)[kind](0.07, interval=(0.0, 1e300))
+
+
+def test_sawtooth_refuses_a_window_whose_steps_underflow(ex1, ex2, c1, c2, no_assembly):
+    # two teeth pass the count, but eps^3 / LAYER_RES is 0 at eps 1e-300
+    with pytest.raises(ParameterError, match="a transition window needs more than MAX_NODES"):
+        node_limit_builds(ex1, ex2, c1, c2)["two-well"](1e-300, counts_override=2)
+
+
+def test_builders_leave_numpy_ma_unloaded():
+    # np.unique loads numpy.ma (about 9 ms and 0.4 MB of a cold command)
+    code = (
+        "import sys\n"
+        "from tripwell import PotentialSpec, build_h7_competitor, build_h8_competitor, "
+        "build_three_well_profile, build_two_well_sawtooth\n"
+        "ex1, ex2 = PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0)), PotentialSpec(wells=(-1.0, 0.5, 1.0))\n"
+        "build_two_well_sawtooth(ex1, 0.07); build_three_well_profile(ex1, 0.07)\n"
+        "build_h7_competitor(ex2, 0.07, 0.585); build_h8_competitor(ex2, 0.07, 0.204)\n"
+        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ import pytest
 import tripwell.minimizer as minimizer
 from tripwell import GridFunction, energy_Ieps
 from tripwell.errors import ConstructionError, NumericError, ParameterError
-from tripwell.microstructure import build_three_well_profile, build_two_well_sawtooth
+from tripwell.microstructure import (
+    build_three_well_profile,
+    build_two_well_sawtooth,
+    two_well_count,
+)
 from tripwell.minimizer import (
     SWEEP_COLUMNS,
     MinimizeOptions,
@@ -50,6 +54,67 @@ def test_descent_result_matches_public_energy(ex1, two_well_descent):
     assert res.value == energy_Ieps(res.u, eps, ex1).total
     assert res.history[0] == energy_Ieps(seed, eps, ex1).total
     assert len(res.history) == res.iterations + 1
+
+
+def staged_objective(monkeypatch, eager: bool) -> list:
+    """Wrap the descent objective and list every gradient stage it runs; with
+    ``eager`` each runs at once, as when every trial formed its gradient."""
+    stages = []
+    objective = minimizer._ieps_objective
+
+    def wrapped(grid, eps, density):
+        fg = objective(grid, eps, density)
+
+        def staged(v):
+            f, grad = fg(v)
+
+            def stage():
+                stages.append(f)
+                return grad()
+
+            if eager:
+                g = stage()
+                return f, lambda: g
+            return f, stage
+
+        return staged
+
+    monkeypatch.setattr(minimizer, "_ieps_objective", wrapped)
+    return stages
+
+
+@pytest.fixture(scope="module")
+def seeds_007(ex1, c1):
+    eps = 0.07
+    return {
+        "two-well": build_two_well_sawtooth(ex1, eps, constants=c1),
+        "three-well": build_three_well_profile(ex1, eps, constants=c1),
+        "random": minimizer._random_sawtooth(ex1, eps, 4001, two_well_count(ex1, eps, 1.0, c1),
+                                             np.random.default_rng(1000)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["two-well", "three-well", "random"])
+def test_deferred_gradients_leave_the_descent_bit_identical(ex1, seeds_007, kind, monkeypatch):
+    opts = MinimizeOptions(max_iters=40)
+    deferred = minimize_Ieps(ex1, 0.07, seeds_007[kind], opts)
+    staged_objective(monkeypatch, eager=True)
+    eager = minimize_Ieps(ex1, 0.07, seeds_007[kind], opts)
+    assert deferred.value == eager.value
+    assert deferred.history == eager.history
+    assert deferred.iterations == eager.iterations
+    assert deferred.n_fev == eager.n_fev
+    assert deferred.reason == eager.reason
+    assert np.array_equal(deferred.u.values, eager.u.values)
+
+
+def test_descent_forms_gradients_only_where_the_line_search_keeps_a_trial(
+        ex1, seeds_007, monkeypatch):
+    # one gradient for the start and one per accepted step at least; none
+    # for a trial rejected on its energy
+    stages = staged_objective(monkeypatch, eager=False)
+    res = minimize_Ieps(ex1, 0.07, seeds_007["two-well"])
+    assert res.iterations + 1 <= len(stages) < res.n_fev
 
 
 def test_quadratic_mode_converges_to_zero(quadratic_density):
@@ -97,10 +162,11 @@ def test_quadratic_mode_below_rounding_stops_in_the_line_search(quadratic_densit
 def test_line_search_takes_an_overflowing_trial_as_too_long():
     # sum(exp(x) - x) has its minimum at 0; the first trial overflows exp
     def fg(x):
-        return float(np.sum(np.exp(x) - x)), np.exp(x) - 1.0
+        return float(np.sum(np.exp(x) - x)), lambda: np.exp(x) - 1.0
 
     x = np.array([-1.0, -2.0])
-    f, g = fg(x)
+    f, grad = fg(x)
+    g = grad()
     d = -g
     gd = float(g @ d)
     x_new, f_new, g_new = minimizer._wolfe_step(fg, x, f, gd, d, 1000.0)
