@@ -171,6 +171,7 @@ PERIOD_PLATEAU_PTS = 129  # coarse nodes across one competitor period
 TOOTH_MARGIN = 4.0        # eps^3 units of window beyond a tooth's transition
 ZERO_MEAN_STEPS = 12      # mean-removal steps before a piece is given up
 MAX_NODES = 10**7         # largest profile a builder makes: 80 MB per array
+NODE_ROUNDING = 32        # least layer step, in units of the spacing of floats at the interval
 
 
 def _too_many_nodes(what: str) -> ParameterError:
@@ -279,7 +280,8 @@ def _teeth(spec: PotentialSpec, eps: float, interval: tuple[float, float],
 
     The count is ``_tooth_count`` with period d* for the two-well and h* for
     the three-well profile, unless ``count`` overrides it; fewer than 2 teeth
-    is an error.
+    is an error.  So is an interval so far from 0 that a layer step is
+    shorter than NODE_ROUNDING spacings of the floats there.
     """
     check_eps(eps)
     a, b = interval
@@ -295,6 +297,14 @@ def _teeth(spec: PotentialSpec, eps: float, interval: tuple[float, float],
             f"eps={eps} too large for a {kind} profile on length {length}: "
             f"tooth rule gives {name}={n}, minimal admissible {name} is 2"
         )
+    # far from 0 the node positions round to steps coarser than a layer's;
+    # an eps^3 that underflows is left to the window check of _piece_nodes
+    step, ulp = eps**3 / LAYER_RES, float(np.spacing(max(abs(a), abs(b))))
+    if 0.0 < step < NODE_ROUNDING * ulp:
+        raise ParameterError(
+            f"interval ({a}, {b}) too far from 0 for eps={eps}: node positions there "
+            f"round to {ulp:.3g}, more than 1/{NODE_ROUNDING} of the layer step "
+            f"eps^3/LAYER_RES = {step:.3g}")
     return c, n, length / n
 
 

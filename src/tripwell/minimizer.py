@@ -6,6 +6,11 @@ three-well profiles, plus competitor patterns when a structural hypothesis
 fails) realize the candidate limit microstructures, and random sawtooth
 perturbations guard against seed bias.  Descent runs on the interior nodal
 values with the exact discrete gradient; boundary values stay pinned at zero.
+
+A start travels as plain data (eps, its kind and the numbers that kind
+needs); the process that descends it builds its seed, so a worker process
+receives no profile.  The random starts' draws come from the standard
+library's ``random.Random(seed)``, and numpy.random is never loaded.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import csv
 import io
 import math
 import os
+import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,6 +33,8 @@ from .energy import _ieps_objective
 from .errors import ConstructionError, NumericError, ParameterError, TripwellError, check_eps
 from .grids import GridFunction
 from .microstructure import (
+    build_h7_competitor,
+    build_h8_competitor,
     build_three_well_profile,
     build_two_well_sawtooth,
     competitor_seeds,
@@ -38,6 +46,7 @@ MEMORY = 12                    # correction pairs kept by the L-BFGS descent
 ARMIJO = 1e-4                  # sufficient-decrease constant of the line search
 CURVATURE = 0.9                # weak-Wolfe curvature constant
 MAX_TRIALS = 20                # energy evaluations per line search
+RANDOM_MODES = 5               # sine modes of smooth noise on a random start
 
 
 @dataclass(frozen=True)
@@ -300,11 +309,12 @@ def _wolfe_step(fg, x: np.ndarray, f: float, gd: float, d: np.ndarray, step: flo
     return short
 
 
-def _random_sawtooth(spec, eps: float, n: int, base_count: int,
-                     rng: np.random.Generator) -> GridFunction:
-    """Uniform-grid sawtooth with jittered tooth count and smooth noise."""
+def _random_sawtooth(spec, eps: float, n: int, base_count: int, factor: float,
+                     noise: tuple[float, ...]) -> GridFunction:
+    """Uniform-grid sawtooth of about ``factor * base_count`` teeth with
+    smooth noise: ``noise`` holds a standard normal draw per sine mode."""
     z1, z2, _ = spec.wells
-    count = max(2, int(round(base_count * rng.uniform(0.6, 1.6))))
+    count = max(2, int(round(base_count * factor)))
     nodes = np.linspace(0.0, 1.0, n)
     frac = z2 / (z2 - z1)               # zero-mean share of the falling flank
     phase = (nodes * count) % 1.0
@@ -316,8 +326,8 @@ def _random_sawtooth(spec, eps: float, n: int, base_count: int,
     down = np.maximum(local - (1.0 - frac) * l, 0.0) * z1
     u = up + down
     u = u - nodes * u[-1]
-    k = np.arange(1, 6)
-    coeffs = rng.normal(0.0, 1.0, 5) * peak * 0.2
+    k = np.arange(1, len(noise) + 1)
+    coeffs = np.array(noise) * peak * 0.2
     u = u + np.sin(np.pi * np.outer(nodes, k)) @ coeffs
     u[0] = 0.0
     u[-1] = 0.0
@@ -326,45 +336,57 @@ def _random_sawtooth(spec, eps: float, n: int, base_count: int,
 
 
 def _seeds(spec, eps: float, opts: MinimizeOptions,
-           constants: LimitConstants) -> list[tuple[str, GridFunction | TripwellError]]:
-    """(start kind, seed) for every start, in start order; a seed whose build
-    raised is the TripwellError it raised.
+           constants: LimitConstants) -> list[tuple[str, tuple]]:
+    """(start kind, builder arguments) for every start, in start order.
 
-    The random seeds share one generator, so they are built in this order.
+    A structured start needs nothing beyond eps, except a competitor's
+    yhat.  A random start carries (grid size, two-well count, tooth-count
+    factor, noise): ``random.Random(opts.seed)`` draws the factor from
+    uniform(0.6, 1.6) and then RANDOM_MODES gauss(0, 1) values, start by
+    start.  The two-well count is formed here for every rung, so an eps past
+    the node limit is refused before any seed is built.
     """
-    seeds = []
-
-    def add(kind, build, *args, **kwargs):
-        try:
-            seeds.append((kind, build(spec, eps, *args, **kwargs)))
-        except TripwellError as exc:
-            seeds.append((kind, exc))
-
-    add("two-well", build_two_well_sawtooth, constants=constants)
+    plans = [("two-well", ())]
     if opts.starts >= 2:
-        add("three-well", build_three_well_profile, constants=constants)
+        plans.append(("three-well", ()))
     if opts.starts > 2:
         report = check_hypotheses(spec, constants=constants)
-        for kind, yhat, build in competitor_seeds(report)[: opts.starts - 2]:
-            add(f"{kind}-competitor", build, yhat, constants=constants)
-    rng = np.random.default_rng(opts.seed)
+        plans += [(f"{kind}-competitor", (yhat,))
+                  for kind, yhat, _ in competitor_seeds(report)[: opts.starts - 2]]
+    rng = random.Random(opts.seed)
     base = two_well_count(spec, eps, 1.0, constants)
-    for idx in range(opts.starts - len(seeds)):
-        add(f"random-{idx}", _random_sawtooth, opts.grid_n, base, rng)
-    return seeds
+    for idx in range(opts.starts - len(plans)):
+        factor = rng.uniform(0.6, 1.6)
+        noise = tuple(rng.gauss(0.0, 1.0) for _ in range(RANDOM_MODES))
+        plans.append((f"random-{idx}", (opts.grid_n, base, factor, noise)))
+    return plans
 
 
-def _descend(spec, eps: float, kind: str, init: GridFunction | TripwellError,
-             opts: MinimizeOptions) -> MinimizeResult | TripwellError:
-    """One start's descent, timed; a TripwellError, whether the seed or one
-    the descent raised, is returned, not raised.
+def _build_seed(spec, eps: float, kind: str, args: tuple,
+                constants: LimitConstants) -> GridFunction:
+    """The seed of one start from its ``_seeds`` entry.
+
+    The builder is looked up by its name in this module when the seed is
+    built, so a task never holds a function object (a wrapped builder need
+    not pickle) and a builder replaced here is the one a forked worker runs.
+    """
+    if kind.startswith("random-"):
+        return _random_sawtooth(spec, eps, *args)
+    build = {"two-well": build_two_well_sawtooth, "three-well": build_three_well_profile,
+             "h7-competitor": build_h7_competitor, "h8-competitor": build_h8_competitor}[kind]
+    return build(spec, eps, *args, constants=constants)
+
+
+def _descend(spec, eps: float, kind: str, args: tuple, opts: MinimizeOptions,
+             constants: LimitConstants) -> MinimizeResult | TripwellError:
+    """Build one start's seed and descend from it, timing the descent; a
+    TripwellError that either step raised is returned, not raised.
 
     Module-level so that a worker process can run it.
     """
-    if isinstance(init, TripwellError):
-        return init
-    t0 = time.perf_counter()
     try:
+        init = _build_seed(spec, eps, kind, args, constants)
+        t0 = time.perf_counter()
         r = minimize_Ieps(spec, eps, init, opts)
     except TripwellError as exc:
         return exc
@@ -377,20 +399,20 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
                 max_workers: int = 0) -> list[list[tuple[str, MinimizeResult | TripwellError]]]:
     """Every start of every rung: (start kind, result or the error it raised).
 
-    Every eps is checked before any seed is built; then the seeds are built
-    here, rung by rung in start order.  With more than one worker
-    (``_workers`` for the seeds that built, at most ``max_workers`` unless
-    that is 0) the descents of the whole ladder run in a pool of forked
-    worker processes that is joined before this returns.  Each descent
-    depends only on its seed and ``opts``, so the results are the same for
-    every worker count.
+    Every eps is checked, and every start planned (``_seeds``), before any
+    seed is built.  With more than one worker (``_workers`` for the ladder's
+    starts, at most ``max_workers`` unless that is 0) the starts run in a
+    pool of forked worker processes that is joined before this returns;
+    each worker is sent the start's plain data, builds the seed and descends
+    it, so this process never holds a seed.  Each start depends only on its
+    plan, ``opts`` and ``constants``, so the results are the same for every
+    worker count.
     """
     for eps in eps_list:
         check_eps(eps)
-    tasks = [(eps, kind, init) for eps in eps_list
-             for kind, init in _seeds(spec, eps, opts, constants)]
-    built = sum(isinstance(init, GridFunction) for _, _, init in tasks)
-    workers = min(_workers(built), max_workers or built)
+    tasks = [(eps, kind, args) for eps in eps_list
+             for kind, args in _seeds(spec, eps, opts, constants)]
+    workers = min(_workers(len(tasks)), max_workers or len(tasks))
     if workers > 1:
         # loaded here, so that importing the package or the CLI does not
         # pay for multiprocessing
@@ -400,9 +422,10 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
         # fork starts neither a forkserver nor a resource tracker, and the
         # with block joins every worker
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = list(pool.map(_descend, repeat(spec), *zip(*tasks), repeat(opts)))
+            outcomes = list(pool.map(_descend, repeat(spec), *zip(*tasks), repeat(opts),
+                                     repeat(constants)))
     else:
-        outcomes = [_descend(spec, *task, opts) for task in tasks]
+        outcomes = [_descend(spec, *task, opts, constants) for task in tasks]
     starts = [(kind, r) for (_, kind, _), r in zip(tasks, outcomes)]
     # every rung has exactly opts.starts starts
     return [starts[i:i + opts.starts] for i in range(0, len(starts), opts.starts)]
@@ -414,12 +437,14 @@ def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
                 ) -> MinimizeResult:
     """Run descent from every seed and return the argmin.
 
-    Fully deterministic given ``opts.seed``; ties break on start order.  Seeds
-    that fail to construct or to take a single step are dropped: ``per_start``
-    lists only the starts that built and descended.  If every start fails, the
-    error aggregates the per-start reasons.  ``starts`` are the finished
-    starts of this rung when ``epsilon_sweep`` ran them with the rest of its
-    ladder (see ``_run_starts``).
+    Fully deterministic given ``opts.seed``, which seeds the random starts'
+    ``random.Random``; ties break on start order.  Seeds that fail to
+    construct or to take a single step are dropped: ``per_start`` lists only
+    the starts that built and descended.  If every start fails, the error
+    aggregates the per-start reasons.  Without ``starts`` this rung's starts
+    run here (``_run_starts``, which may build and descend them in worker
+    processes); ``starts`` are the finished starts of this rung when
+    ``epsilon_sweep`` ran them with the rest of its ladder.
     """
     if starts is None:
         c = constants if constants is not None else limit_constants(spec)
@@ -441,11 +466,11 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
                   max_workers: int = 0) -> list[SweepRecord]:
     """Multi-start minimization along a decreasing eps ladder.
 
-    The descents of every rung run together (``_run_starts``, at most
-    ``max_workers`` worker processes unless that is 0); each rung's winner
-    is then picked by ``multi_start``.  Volume fractions are evaluated at
-    eta = eps^(1/(q+1)); layer counts use
-    the same eta capped below the band-degeneracy bound (at moderate eps the
+    The starts of every rung, seed builds and descents, run together
+    (``_run_starts``, at most ``max_workers`` worker processes unless that
+    is 0); each rung's winner is then picked by ``multi_start``.  Volume
+    fractions are evaluated at eta = eps^(1/(q+1)); layer counts use the
+    same eta capped below the band-degeneracy bound (at moderate eps the
     natural window is too wide for the layer definitions to make sense).
     """
     eps_list = [float(e) for e in eps_list]

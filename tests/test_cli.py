@@ -136,19 +136,23 @@ def test_sweep_csv_deterministic(spec_files, tmp_path):
 
 def test_sweep_jobs_match_serial(spec_files, tmp_path):
     p1, _ = spec_files
-    outs = []
+    outs, starts = [], []
     for jobs in ("1", "2"):
         out = str(tmp_path / f"jobs{jobs}.csv")
         r = run_cli("sweep", "--potential", p1, "--eps", "0.1,0.07",
-                    "--starts", "2", "--seed", "11", "--max-iters", "30",
+                    "--starts", "3", "--seed", "11", "--max-iters", "30",
                     "--grid-n", "2001", "--jobs", jobs, "--out", out, env=BLAS_PINNED)
         assert r.returncode == 0, r.stderr
         outs.append(open(out, "rb").read())
         records = json.loads(r.stdout)["sweep"]["records"]
         assert [[s["start_kind"] for s in rec["starts"]] for rec in records] == \
-            [["two-well", "three-well"]] * 2
+            [["two-well", "three-well", "random-0"]] * 2
         assert all(s["reason"] == "max_iters" for rec in records for s in rec["starts"])
+        # every field of every start but its wall time
+        starts.append([{k: v for k, v in s.items() if k != "descent_s"}
+                       for rec in records for s in rec["starts"]])
     assert outs[0] == outs[1]
+    assert starts[0] == starts[1]
 
 
 # every variable that sets the threads of some BLAS

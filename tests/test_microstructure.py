@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -439,6 +440,19 @@ def test_builders_refuse_a_profile_above_max_nodes(ex1, ex2, c1, c2, no_assembly
 def test_sawtooth_builders_refuse_a_huge_interval(ex1, ex2, c1, c2, no_assembly, kind):
     with pytest.raises(ParameterError, match="MAX_NODES"):
         node_limit_builds(ex1, ex2, c1, c2)[kind](0.07, interval=(0.0, 1e300))
+
+
+@pytest.mark.parametrize("length", [1e12, 1e20, 1e300])
+def test_sawtooth_refuses_an_interval_whose_nodes_round_coarser_than_a_step(ex1, length):
+    # at 1e12 the floats are 6.1e-5 apart, and a layer step at eps 0.07 is 3.6e-6
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"interval (0, {length}) too far from 0 for eps=0.07")):
+        build_two_well_sawtooth(ex1, 0.07, interval=(0, length), counts_override=2)
+
+
+def test_sawtooth_builds_on_an_interval_far_from_0_whose_nodes_resolve_a_step(ex1):
+    u = build_two_well_sawtooth(ex1, 0.07, interval=(0, 1e6), counts_override=2)
+    assert len(u) == 9443
 
 
 def test_sawtooth_refuses_a_window_whose_steps_underflow(ex1, ex2, c1, c2, no_assembly):

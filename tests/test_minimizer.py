@@ -1,4 +1,8 @@
 import os
+import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -7,7 +11,6 @@ import tripwell.minimizer as minimizer
 from tripwell import GridFunction, energy_Ieps
 from tripwell.errors import ConstructionError, NumericError, ParameterError
 from tripwell.microstructure import (
-    build_three_well_profile,
     build_two_well_sawtooth,
     two_well_count,
 )
@@ -85,13 +88,14 @@ def staged_objective(monkeypatch, eager: bool) -> list:
 
 @pytest.fixture(scope="module")
 def seeds_007(ex1, c1):
+    """The two-well, three-well and first random seed of a rung at eps 0.07,
+    built from the rung's start plans as a worker builds them."""
     eps = 0.07
-    return {
-        "two-well": build_two_well_sawtooth(ex1, eps, constants=c1),
-        "three-well": build_three_well_profile(ex1, eps, constants=c1),
-        "random": minimizer._random_sawtooth(ex1, eps, 4001, two_well_count(ex1, eps, 1.0, c1),
-                                             np.random.default_rng(1000)),
-    }
+    opts = MinimizeOptions(starts=3, seed=1000, grid_n=4001)
+    plans = minimizer._seeds(ex1, eps, opts, c1)
+    assert [kind for kind, _ in plans] == ["two-well", "three-well", "random-0"]
+    return {kind.removesuffix("-0"): minimizer._build_seed(ex1, eps, kind, args, c1)
+            for kind, args in plans}
 
 
 @pytest.mark.parametrize("kind", ["two-well", "three-well", "random"])
@@ -377,17 +381,11 @@ def test_pooled_ladder_matches_serial_rung_by_rung(ex1, c1, pooled):
         [["two-well", "three-well", "random-0"]] * 2
 
 
-def test_pooled_winner_shares_the_seed_grid(ex1, c1, pooled, monkeypatch):
-    built = []
-
-    def record(*args, **kwargs):
-        built.append(build_two_well_sawtooth(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(minimizer, "build_two_well_sawtooth", record)
+def test_pooled_winner_shares_the_seed_grid(ex1, c1, pooled):
+    # the worker builds the seed; the same build here gives the same grid
     res = multi_start(ex1, 0.1, POOLED, c1)
     assert res.start_kind == "two-well"
-    assert np.array_equal(res.u.nodes, built[0].nodes)
+    assert np.array_equal(res.u.nodes, build_two_well_sawtooth(ex1, 0.1, constants=c1).nodes)
     for a in (res.u.values, res.u.nodes, res.u.grid.width_pairs, res.u.slopes()):
         assert not a.flags.writeable
 
@@ -425,3 +423,67 @@ def test_pool_leaves_no_child_when_a_worker_crashes(ex1, c1, pooled, monkeypatch
     with pytest.raises(RuntimeError, match="not a TripwellError"):
         multi_start(ex1, 0.1, POOLED, c1)
     assert_no_child_process()
+
+
+def test_pooled_seeds_are_built_in_the_workers(ex1, c1, pooled, monkeypatch, tmp_path):
+    # each builder leaves a file named for its start kind and process
+    def recorded(build, kind):
+        def run(*args, **kwargs):
+            (tmp_path / f"{kind}.{os.getpid()}").touch()
+            return build(*args, **kwargs)
+        return run
+
+    for name, kind in (("build_two_well_sawtooth", "two-well"),
+                       ("build_three_well_profile", "three-well"),
+                       ("_random_sawtooth", "random")):
+        monkeypatch.setattr(minimizer, name, recorded(getattr(minimizer, name), kind))
+    res = multi_start(ex1, 0.1, POOLED, c1)
+    assert [s.start_kind for s in res.per_start] == ["two-well", "three-well", "random-0"]
+    built = {p.name.split(".")[0]: int(p.name.split(".")[1]) for p in tmp_path.iterdir()}
+    assert set(built) == {"two-well", "three-well", "random"}
+    assert os.getpid() not in built.values()
+    assert_no_child_process()
+
+
+def test_pool_skips_a_seed_that_fails_to_build_in_a_worker(ex2, c2, pooled):
+    # the h7 competitor's build raises in the worker, which returns the error
+    res = multi_start(ex2, 0.1, MinimizeOptions(starts=3, seed=3, max_iters=10), c2)
+    assert [s.start_kind for s in res.per_start] == ["two-well", "three-well"]
+    assert_no_child_process()
+
+
+def test_random_starts_draw_from_the_standard_library(ex1, c1):
+    # per random start, in start order: the tooth-count factor, then the noise
+    opts = MinimizeOptions(starts=4, seed=7, grid_n=2001)
+    rng = random.Random(7)
+    base = two_well_count(ex1, 0.1, 1.0, c1)
+    plans = minimizer._seeds(ex1, 0.1, opts, c1)
+    assert [kind for kind, _ in plans] == ["two-well", "three-well", "random-0", "random-1"]
+    for _, args in plans[2:]:
+        factor = rng.uniform(0.6, 1.6)
+        noise = tuple(rng.gauss(0.0, 1.0) for _ in range(minimizer.RANDOM_MODES))
+        assert args == (2001, base, factor, noise)
+
+
+def test_sweep_never_loads_numpy_random(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        import tripwell.minimizer as minimizer
+        from tripwell import PotentialSpec
+
+        # a pool of two whatever the BLAS pins and the CPU count
+        minimizer._workers = lambda tasks: min(2, tasks)
+        spec = PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0))
+        opts = minimizer.MinimizeOptions(starts=3, max_iters=2, grid_n=2001)
+        for workers in (1, 2):
+            records = minimizer.epsilon_sweep(spec, [0.1], opts, max_workers=workers)
+            assert records[0].per_start[-1].start_kind == "random-0"
+        assert "numpy.random" not in sys.modules
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(minimizer.__file__)),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
