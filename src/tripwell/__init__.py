@@ -25,6 +25,14 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
+# the variables that set a BLAS's threads per process, in the order it reads
+# them; kept here, where no numpy is loaded, so the CLI can pin them first
+BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+    "accelerate": ("VECLIB_MAXIMUM_THREADS",),
+}
+
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 

@@ -23,17 +23,18 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
+from . import BLAS_THREAD_VARS, __version__
+
 if "numpy" not in sys.modules:
     # one BLAS thread per process unless the caller chose: threaded dot
     # products make every descent slower and its result depend on the CPU
     # count; a library caller that loaded numpy first keeps its own setting
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                 "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(_var, "1")
+    for _vars in BLAS_THREAD_VARS.values():
+        for _var in _vars:
+            os.environ.setdefault(_var, "1")
 
 import numpy as np
 
-from . import __version__
 from .errors import NumericError, ParameterError, TripwellError
 
 if TYPE_CHECKING:

@@ -20,7 +20,7 @@ whether the two-well pattern wins against mixed three-well competitors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -43,11 +43,7 @@ class LimitConstants:
     z31: float
 
     def as_dict(self) -> dict:
-        return {
-            "E0": self.E0, "E1": self.E1, "A0": self.A0, "B0": self.B0,
-            "d_star": self.d_star, "h_star": self.h_star,
-            "z21": self.z21, "z31": self.z31,
-        }
+        return asdict(self)
 
 
 @functools.cache

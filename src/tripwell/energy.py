@@ -26,7 +26,7 @@ checks can swap in a plain quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,11 +49,7 @@ class EnergyBreakdown:
     under_resolved: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total, "interface": self.interface,
-            "bulk_W": self.bulk_W, "bulk_u2": self.bulk_u2,
-            "scaling": self.scaling, "under_resolved": self.under_resolved,
-        }
+        return asdict(self)
 
 
 def discrete_derivatives(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -22,11 +22,13 @@ import os
 import random
 import time
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .analysis import transition_layers, volume_fractions
 from .constants import LimitConstants, check_hypotheses, limit_constants
 from .energy import _ieps_objective
@@ -70,14 +72,6 @@ class MinimizeOptions:
             raise ParameterError("need at least one start")
         if self.seed < 0:
             raise ParameterError("seed must be non-negative")
-
-
-# the variables that set a BLAS's threads per process, in the order it reads them
-BLAS_THREAD_VARS = {
-    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-    "accelerate": ("VECLIB_MAXIMUM_THREADS",),
-}
 
 
 def _blas_name() -> str:
@@ -149,7 +143,6 @@ class MinimizeResult:
     start_kind: str = ""
     history: list = field(default_factory=list)
     per_start: list = field(default_factory=list)   # a StartRecord per start
-    descent_s: float = field(default=0.0, compare=False)   # wall time of the descent
 
 
 @dataclass
@@ -378,9 +371,10 @@ def _build_seed(spec, eps: float, kind: str, args: tuple,
 
 
 def _descend(spec, eps: float, kind: str, args: tuple, opts: MinimizeOptions,
-             constants: LimitConstants) -> MinimizeResult | TripwellError:
-    """Build one start's seed and descend from it, timing the descent; a
-    TripwellError that either step raised is returned, not raised.
+             constants: LimitConstants) -> tuple[StartRecord, MinimizeResult] | TripwellError:
+    """Build one start's seed and descend from it: the start's record, with
+    the time of its descent, and the result.  A TripwellError that either
+    step raised is returned, not raised.
 
     Module-level so that a worker process can run it.
     """
@@ -390,51 +384,59 @@ def _descend(spec, eps: float, kind: str, args: tuple, opts: MinimizeOptions,
         r = minimize_Ieps(spec, eps, init, opts)
     except TripwellError as exc:
         return exc
-    r.descent_s = time.perf_counter() - t0
     r.start_kind = kind
-    return r
+    return StartRecord(kind, r.value, r.converged, len(r.u), r.iterations, r.n_fev, r.reason,
+                       time.perf_counter() - t0), r
 
 
 def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: LimitConstants,
-                max_workers: int = 0) -> list[list[tuple[str, MinimizeResult | TripwellError]]]:
-    """Every start of every rung: (start kind, result or the error it raised).
+                max_workers: int = 0):
+    """Every start of each rung, one rung at a time: a list per rung of
+    (start kind, ``_descend``'s outcome).
 
-    Every eps is checked, and every start planned (``_seeds``), before any
-    seed is built.  With more than one worker (``_workers`` for the ladder's
-    starts, at most ``max_workers`` unless that is 0) the starts run in a
-    pool of forked worker processes that is joined before this returns;
-    each worker is sent the start's plain data, builds the seed and descends
-    it, so this process never holds a seed.  Each start depends only on its
-    plan, ``opts`` and ``constants``, so the results are the same for every
-    worker count.
+    A generator, which its caller closes.  Every eps is checked, and every
+    start planned (``_seeds``), before any seed is built.  With more than
+    one worker (``_workers`` for the ladder's starts, at most ``max_workers``
+    unless that is 0) the starts run in a pool of forked worker processes,
+    which is joined when the generator finishes or is closed; each worker is
+    sent the start's plain data, builds the seed and descends it, so this
+    process never holds a seed.  A rung is yielded as soon as its starts are
+    done, and nothing here keeps it, so the caller holds one rung's results
+    at a time.  Each start depends only on its plan, ``opts`` and
+    ``constants``, so the results are the same for every worker count.
     """
     for eps in eps_list:
         check_eps(eps)
     tasks = [(eps, kind, args) for eps in eps_list
              for kind, args in _seeds(spec, eps, opts, constants)]
     workers = min(_workers(len(tasks)), max_workers or len(tasks))
+    pool = None
     if workers > 1:
         # loaded here, so that importing the package or the CLI does not
         # pay for multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork starts neither a forkserver nor a resource tracker, and the
-        # with block joins every worker
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = list(pool.map(_descend, repeat(spec), *zip(*tasks), repeat(opts),
-                                     repeat(constants)))
-    else:
-        outcomes = [_descend(spec, *task, opts, constants) for task in tasks]
-    starts = [(kind, r) for (_, kind, _), r in zip(tasks, outcomes)]
-    # every rung has exactly opts.starts starts
-    return [starts[i:i + opts.starts] for i in range(0, len(starts), opts.starts)]
+        # fork starts neither a forkserver nor a resource tracker
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        outcomes = (pool.map if pool else map)(_descend, repeat(spec), *zip(*tasks),
+                                               repeat(opts), repeat(constants))
+        starts = zip((kind for _, kind, _ in tasks), outcomes)
+        for _ in eps_list:
+            # every rung has exactly opts.starts starts
+            yield list(islice(starts, opts.starts))
+    finally:
+        if pool is not None:
+            # joins every worker; the starts no worker has taken yet are
+            # dropped when the caller stops early
+            pool.shutdown(cancel_futures=True)
 
 
 def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
                 constants: LimitConstants | None = None,
-                starts: list[tuple[str, MinimizeResult | TripwellError]] | None = None,
-                ) -> MinimizeResult:
+                starts: list[tuple[str, tuple[StartRecord, MinimizeResult] | TripwellError]]
+                | None = None) -> MinimizeResult:
     """Run descent from every seed and return the argmin.
 
     Fully deterministic given ``opts.seed``, which seeds the random starts'
@@ -443,21 +445,20 @@ def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
     the starts that built and descended.  If every start fails, the error
     aggregates the per-start reasons.  Without ``starts`` this rung's starts
     run here (``_run_starts``, which may build and descend them in worker
-    processes); ``starts`` are the finished starts of this rung when
-    ``epsilon_sweep`` ran them with the rest of its ladder.
+    processes); ``starts`` are this rung's finished starts, (start kind,
+    ``_descend``'s outcome), when ``epsilon_sweep`` ran them with the rest
+    of its ladder.  Each start's StartRecord comes from ``_descend``.
     """
     if starts is None:
         c = constants if constants is not None else limit_constants(spec)
         starts, = _run_starts(spec, [eps], opts, c)
-    results = [r for _, r in starts if isinstance(r, MinimizeResult)]
-    if not results:
+    done = [outcome for _, outcome in starts if not isinstance(outcome, TripwellError)]
+    if not done:
         raise ConstructionError("all starts failed: " + "; ".join(
-            f"{kind}: {r}" for kind, r in starts))
-    best = min(range(len(results)), key=lambda i: (results[i].value, i))
-    out = results[best]
-    out.per_start = [StartRecord(r.start_kind, r.value, r.converged, len(r.u),
-                                 r.iterations, r.n_fev, r.reason, r.descent_s)
-                     for r in results]
+            f"{kind}: {exc}" for kind, exc in starts))
+    best = min(range(len(done)), key=lambda i: (done[i][0].value, i))
+    out = done[best][1]
+    out.per_start = [record for record, _ in done]
     return out
 
 
@@ -468,7 +469,8 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
 
     The starts of every rung, seed builds and descents, run together
     (``_run_starts``, at most ``max_workers`` worker processes unless that
-    is 0); each rung's winner is then picked by ``multi_start``.  Volume
+    is 0); each rung's winner is picked by ``multi_start`` as soon as that
+    rung is done, and the other starts' results are dropped.  Volume
     fractions are evaluated at eta = eps^(1/(q+1)); layer counts use the
     same eta capped below the band-degeneracy bound (at moderate eps the
     natural window is too wide for the layer definitions to make sense).
@@ -485,19 +487,20 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
     z1, z2, z3 = spec.wells
     eta_layer_cap = 0.45 * min(z2 - z1, z3 - z2)
     records: list[SweepRecord] = []
-    for eps, starts in zip(eps_list, _run_starts(spec, eps_list, opts, c, max_workers)):
-        best = multi_start(spec, eps, opts, c, starts)
-        eta = eps ** (1.0 / (q + 1.0))
-        vf = volume_fractions(best.u, spec, min(eta, 0.5 * (z3 - z1) - 1e-9))
-        layers = transition_layers(best.u, spec, min(eta, eta_layer_cap))
-        n_a = sum(1 for L in layers if L.kind == "A+")
-        n_b = sum(1 for L in layers if L.kind == "B+")
-        records.append(SweepRecord(
-            eps=eps, best_value=best.value,
-            lambda1=vf.lam[0], lambda2=vf.lam[1], lambda3=vf.lam[2],
-            n_layers_A=n_a, n_layers_B=n_b,
-            start_kind=best.start_kind, eta=eta, per_start=best.per_start,
-        ))
+    with closing(_run_starts(spec, eps_list, opts, c, max_workers)) as rungs:
+        for eps in eps_list:
+            best = multi_start(spec, eps, opts, c, next(rungs))
+            eta = eps ** (1.0 / (q + 1.0))
+            vf = volume_fractions(best.u, spec, min(eta, 0.5 * (z3 - z1) - 1e-9))
+            layers = transition_layers(best.u, spec, min(eta, eta_layer_cap))
+            n_a = sum(1 for L in layers if L.kind == "A+")
+            n_b = sum(1 for L in layers if L.kind == "B+")
+            records.append(SweepRecord(
+                eps=eps, best_value=best.value,
+                lambda1=vf.lam[0], lambda2=vf.lam[1], lambda3=vf.lam[2],
+                n_layers_A=n_a, n_layers_B=n_b,
+                start_kind=best.start_kind, eta=eta, per_start=best.per_start,
+            ))
     return records
 
 

@@ -41,14 +41,12 @@ class PotentialSpec:
         wells: ordered wells (z1, z2, z3) with z1 < 0 < z2 < z3.
         coeffs: monomial coefficients, ascending degree.  Derived from the
             wells for the canonical family; required for custom densities.
-        growth_p: exponent of the two-sided polynomial growth bound.
         coercivity: optional sampled coercivity record.
     """
 
     kind: str = TRIPLE_WELL
     wells: tuple[float, float, float] = (-1.0, 1.0 / 3.0, 1.0)
     coeffs: tuple[float, ...] = ()
-    growth_p: float = 0.0
     coercivity: Optional[Coercivity] = None
 
     def __post_init__(self):
@@ -68,10 +66,6 @@ class PotentialSpec:
             self._validate_custom()
         else:
             raise SpecificationError(f"unknown potential kind {self.kind!r}")
-        if self.growth_p == 0.0:
-            object.__setattr__(self, "growth_p", float(self.degree))
-        if self.growth_p <= 1.0:
-            raise SpecificationError("growth exponent must exceed 1")
 
     def _validate_custom(self):
         scale = max(abs(c) for c in self.coeffs)
@@ -120,7 +114,6 @@ class PotentialSpec:
         out = {"kind": self.kind, "wells": list(self.wells)}
         if self.kind == CUSTOM_POLY:
             out["coeffs"] = list(self.coeffs)
-        out["growth_p"] = self.growth_p
         if self.coercivity is not None:
             out["coercivity"] = {
                 "q": self.coercivity.q,
@@ -137,14 +130,11 @@ class PotentialSpec:
             raise SpecificationError("potential lacks wells")
         wells = data["wells"]
         coeffs = data.get("coeffs", ())
-        growth_p = data.get("growth_p", 0.0)
         coer = data.get("coercivity")
         if not (_numbers(wells) and len(wells) == 3):
             raise SpecificationError("potential wells must be a list of three numbers")
         if not _numbers(coeffs):
             raise SpecificationError("potential coeffs must be a list of numbers")
-        if not _is_number(growth_p):
-            raise SpecificationError("potential growth_p must be a number")
         if coer and not (isinstance(coer, dict) and set(coer) == {"q", "eta0", "c0"}
                          and all(_is_number(v) for v in coer.values())):
             raise SpecificationError("potential coercivity must hold the numbers q, eta0 and c0")
@@ -152,7 +142,6 @@ class PotentialSpec:
             kind=data.get("kind", TRIPLE_WELL),
             wells=tuple(wells),
             coeffs=tuple(coeffs),
-            growth_p=float(growth_p),
             coercivity=Coercivity(**coer) if coer else None,
         )
 
@@ -329,9 +318,9 @@ def verify_growth(
     sp = np.abs(s) ** p
     ok_upper = deg <= p and lead > 0.0
     ok_lower = deg >= p and lead > 0.0
-    # Sum(|c_k|) certifies the upper witness outside any sampled window:
+    # Sum(|c_k|) is an upper witness on the whole line, so no sample exceeds it:
     # W(s) <= Sum|c_k| for |s|<=1 and W(s) <= Sum|c_k| * |s|^deg beyond.
-    c3 = float(max(np.max(w / (sp + 1.0)), abs_sum)) if ok_upper else float("inf")
+    c3 = abs_sum if ok_upper else float("inf")
     c1 = 0.5 * lead if ok_lower else 0.0
     c2 = float(max(np.max(c1 * sp - w), np.max(w), 0.0))
     return GrowthReport(p=float(p), c1=float(c1), c2=c2, c3=c3,

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import tripwell
 from tripwell import GridFunction
 from tripwell.cli import build_parser, main
 
@@ -156,8 +157,17 @@ def test_sweep_jobs_match_serial(spec_files, tmp_path):
 
 
 # every variable that sets the threads of some BLAS
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+BLAS_THREAD_VARS = {var for family in tripwell.BLAS_THREAD_VARS.values() for var in family}
+
+
+def test_cli_import_pins_every_blas_variable_unless_set():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    code = ("import json, os, tripwell.cli; "
+            "print(json.dumps({v: os.environ.get(v) for v in %r}))" % sorted(BLAS_THREAD_VARS))
+    for preset in ({}, {"OPENBLAS_NUM_THREADS": "3"}):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**env, **preset}, check=True).stdout
+        assert json.loads(out) == {**dict.fromkeys(BLAS_THREAD_VARS, "1"), **preset}
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs one BLAS thread anyway")

@@ -3,10 +3,12 @@ import random
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
 
+import tripwell
 import tripwell.minimizer as minimizer
 from tripwell import GridFunction, energy_Ieps
 from tripwell.errors import ConstructionError, NumericError, ParameterError
@@ -227,6 +229,29 @@ def test_sweep_records_and_csv(ex1, c1):
     assert len(lines) == 3
 
 
+def test_serial_ladder_holds_one_rung_of_results(ex1, c1, monkeypatch):
+    # each rung's results are dropped once its winner is picked: at a rung's
+    # multi_start only its own starts and the last rung's winner are alive
+    refs, seen = [], []
+    descend, pick = minimizer.minimize_Ieps, minimizer.multi_start
+
+    def tracked(*args):
+        out = descend(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    def counted(*args):
+        seen.append(sum(ref() is not None for ref in refs))
+        return pick(*args)
+
+    monkeypatch.setattr(minimizer, "minimize_Ieps", tracked)
+    monkeypatch.setattr(minimizer, "multi_start", counted)
+    opts = MinimizeOptions(starts=3, seed=3, max_iters=3, grid_n=2001)
+    records = epsilon_sweep(ex1, [0.1, 0.07, 0.05], opts, c1, max_workers=1)
+    assert len(records) == 3 and len(seen) == 3
+    assert max(seen) <= opts.starts + 1
+
+
 def test_competitor_seeds_descend(ex2, c2):
     # H7 and H8 fail for example 2: their competitors take the third and
     # fourth starts, and the two-well start still wins
@@ -294,8 +319,7 @@ def test_sweep_rejects_negative_max_workers(ex1, c1):
         epsilon_sweep(ex1, [0.1], FAST, c1, max_workers=-1)
 
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-             "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+BLAS_VARS = {var for family in tripwell.BLAS_THREAD_VARS.values() for var in family}
 
 
 def test_default_workers_leave_room_for_blas_threads(monkeypatch):
@@ -412,6 +436,10 @@ def test_pool_records_a_start_that_raises_in_a_worker(ex1, c1, pooled, monkeypat
                                                 "three-well: three-well failed; "
                                                 "random-0: random-sawtooth failed"):
         multi_start(ex1, 0.1, POOLED, c1)
+    assert_no_child_process()
+    # a ladder stopped at its first rung drops the starts queued for the next
+    with pytest.raises(ConstructionError, match="all starts failed"):
+        epsilon_sweep(ex1, [0.1, 0.07, 0.05], POOLED, c1)
     assert_no_child_process()
 
 

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
-from tripwell import PotentialSpec, estimate_coercivity, eval_dW, eval_W, sqrt_W, verify_growth
+from tripwell import (PotentialSpec, estimate_coercivity, eval_dW, eval_W, load_potential,
+                      sqrt_W, verify_growth)
 from tripwell.errors import ParameterError, SpecificationError
 from tripwell.potential import eta0_bound
 
@@ -30,7 +33,7 @@ def test_well_ordering_enforced():
     {"wells": [-1.0, None, 1.0]},
     {"wells": [-1.0, 0.5, True]},
     {"wells": [-1.0, 0.5, 1.0], "coeffs": "abc"},
-    {"wells": [-1.0, 0.5, 1.0], "growth_p": "6"},
+    {"kind": "quartic-well", "wells": [-1.0, 0.5, 1.0]},
     {"wells": [-1.0, 0.5, 1.0], "coercivity": {"q": 2.0}},
 ])
 def test_from_dict_rejects_malformed_potentials(doc):
@@ -38,9 +41,15 @@ def test_from_dict_rejects_malformed_potentials(doc):
         PotentialSpec.from_dict(doc)
 
 
-def test_from_dict_roundtrip(ex1):
+def test_from_dict_roundtrip(ex1, tmp_path):
     spec = PotentialSpec(wells=ex1.wells, coercivity=estimate_coercivity(ex1, grid_n=1000))
     assert PotentialSpec.from_dict(spec.to_dict()) == spec
+    # a file with growth_p, which the format once held, loads; the key is
+    # ignored like any other unknown key
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**spec.to_dict(), "growth_p": "6"}))
+    loaded = load_potential(path)
+    assert loaded == spec and "growth_p" not in loaded.to_dict()
 
 
 def test_custom_polynomial_matches_family(ex1):
@@ -145,6 +154,16 @@ def test_growth_report_degree_eight_fails_lower(ex1):
     rep = verify_growth(ex1, 8.0)
     assert not rep.ok
     assert not rep.ok_lower
+
+
+@pytest.mark.parametrize("which", ["ex1", "ex2", "custom"])
+def test_growth_upper_witness_is_the_coefficient_sum(ex1, ex2, which):
+    spec = {"ex1": ex1, "ex2": ex2}.get(which) or PotentialSpec(
+        kind="custom-polynomial", wells=(-1.0, 0.5, 1.0),
+        coeffs=tuple(npp.polymul(npp.polyfromroots([-1.0, -1.0, 0.5, 0.5, 1.0, 1.0]),
+                                 (1.0, 0.0, 1.0))))
+    rep = verify_growth(spec, float(spec.degree))
+    assert rep.c3 == float(np.sum(np.abs(spec.coeffs)))
 
 
 def test_growth_single_point_range(ex1):
