@@ -32,10 +32,6 @@ class VolumeFractions:
     sigma_measure: float
     overlap: bool                      # eta at/above the disjointness bound
 
-    def as_dict(self) -> dict:
-        return {"eta": self.eta, "lambda": list(self.lam),
-                "sigma_measure": self.sigma_measure, "overlap": self.overlap}
-
 
 @dataclass(frozen=True)
 class TransitionLayer:
@@ -43,10 +39,6 @@ class TransitionLayer:
 
     kind: str                          # "A+", "A-", "B+", "B-"
     span: tuple[float, float]
-
-    @property
-    def width(self) -> float:
-        return self.span[1] - self.span[0]
 
 
 @dataclass(frozen=True)
@@ -277,9 +269,6 @@ class E0FamilyWeights:
     lambda_param: float
     weights: tuple[float, float, float]
 
-    def as_dict(self) -> dict:
-        return {"lambda": self.lambda_param, "weights": list(self.weights)}
-
 
 def e0_family(spec: PotentialSpec, lambda_param: float) -> E0FamilyWeights:
     """Well weights (w1, w2, w3) of the measure family member at lambda.
@@ -297,29 +286,22 @@ def e0_family(spec: PotentialSpec, lambda_param: float) -> E0FamilyWeights:
     return E0FamilyWeights(lambda_param=lam, weights=(float(w1), lam, float(w3)))
 
 
-def rearrangement_envelope(nodes, values, window: tuple[float, float] | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Convex minorant with the same slope distribution on a monotone window.
+def rearrangement_envelope(nodes, values) -> tuple[np.ndarray, np.ndarray]:
+    """Convex minorant with the same slope distribution of a monotone function.
 
-    The cell slopes of the input (restricted to ``window``) are laid out in
-    ascending order together with their cell widths, anchored at the window's
-    left value.  The result has identical slope level-set measures and lies
-    pointwise at or below the input.
+    The cell slopes of the input are laid out in ascending order together
+    with their cell widths, anchored at the left value.  The result has
+    identical slope level-set measures and lies pointwise at or below the
+    input.
     """
-    if isinstance(nodes, GridFunction):
-        nodes, values = nodes.nodes, nodes.values
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window is not None:
-        a, b = window
-        keep = (nodes >= a - _EDGE) & (nodes <= b + _EDGE)
-        nodes, values = nodes[keep], values[keep]
     if len(nodes) < 2:
-        raise ParameterError("window must contain at least one cell")
+        raise ParameterError("input must contain at least one cell")
     h = np.diff(nodes)
     s = np.diff(values) / h
     if np.any(np.diff(values) < -1e-12 * max(1.0, float(np.max(np.abs(values))))):
-        raise ParameterError("input must be nondecreasing on the window")
+        raise ParameterError("input must be nondecreasing")
     order = np.argsort(s, kind="stable")
     new_nodes = nodes[0] + np.concatenate([[0.0], np.cumsum(h[order])])
     new_vals = values[0] + np.concatenate([[0.0], np.cumsum(s[order] * h[order])])

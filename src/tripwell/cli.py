@@ -148,11 +148,9 @@ def _cmd_construct(args, t0):
     elif args.kind == "h7":
         _require_yhat(args)
         gf = build_h7_competitor(spec, args.eps, args.yhat, constants=c)
-    elif args.kind == "h8":
+    else:
         _require_yhat(args)
         gf = build_h8_competitor(spec, args.eps, args.yhat, constants=c)
-    else:  # pragma: no cover - argparse choices guard this
-        raise _UsageError(f"unknown kind {args.kind}")
     gf.save(args.out)
     _emit(args, dig, t0, {"profile": {"out": args.out, "nodes": len(gf), "meta": gf.meta}})
     return 0

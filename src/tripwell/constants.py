@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import NumericError, ParameterError
-from .potential import TRIPLE_WELL, PotentialSpec
+from .potential import PotentialSpec
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,16 @@ def gauss_legendre_panels(f, edges: np.ndarray) -> np.ndarray:
 def _sqrtW_integral(spec: PotentialSpec, a: float, b: float, tol: float) -> float:
     """Integral of sqrt(W) over a panel [a, b] with no well inside it.
 
-    For the canonical family sqrt(W) is the monic cubic with the wells as
-    roots, up to a sign that is constant on the panel, so the integral is the
-    absolute difference of its antiderivative.  Custom densities use
-    composite Gauss-Legendre quadrature on uniform panels, doubling the panel
-    count until two successive sums agree within ``tol``.
+    When R is a constant (the canonical family has R = 1), sqrt(W) is
+    sqrt(R) times prod_i (s - z_i)^m_i, up to a sign that is constant on the
+    panel, so the integral is the absolute difference of its antiderivative.
+    Otherwise composite Gauss-Legendre quadrature runs on uniform panels,
+    doubling the panel count until two successive sums agree within ``tol``.
     """
-    if spec.kind == TRIPLE_WELL:
-        prim = npp.polyint(npp.polyfromroots(list(spec.wells)))
-        return abs(npp.polyval(b, prim) - npp.polyval(a, prim))
+    m, R = spec.factors
+    if len(R) == 1:
+        prim = npp.polyint(npp.polyfromroots(np.repeat(spec.wells, m)))
+        return R[0] ** 0.5 * abs(npp.polyval(b, prim) - npp.polyval(a, prim))
     prev = float(np.sum(gauss_legendre_panels(spec.sqrtW, np.array([a, b]))))
     for k in range(1, 13):
         val = float(np.sum(gauss_legendre_panels(spec.sqrtW, np.linspace(a, b, 2**k + 1))))
@@ -86,8 +87,8 @@ def _sqrtW_integral(spec: PotentialSpec, a: float, b: float, tol: float) -> floa
 
 
 def interface_energies(spec: PotentialSpec, tol: float = 1e-10) -> tuple[float, float]:
-    """(E0, E1): exact for the canonical family, Gauss-Legendre quadrature to
-    ``tol`` for custom densities (see ``_sqrtW_integral``)."""
+    """(E0, E1): exact when R is a constant, Gauss-Legendre quadrature to
+    ``tol`` otherwise (see ``_sqrtW_integral``)."""
     if not (0.0 < tol <= 1e-3):
         raise ParameterError("tol must lie in (0, 1e-3]")
     z1, z2, z3 = spec.wells

@@ -142,10 +142,6 @@ class GridFunction:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.nodes[0]), float(self.nodes[-1])
-
     def cell_widths(self) -> np.ndarray:
         return self.grid.widths
 

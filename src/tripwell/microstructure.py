@@ -574,8 +574,7 @@ def _build_periodic_pattern(spec: PotentialSpec, eps: float, plan: CompetitorPla
     return _assemble_pieces(0.0, 1.0, T, [(nodes, vals)] * periods, eps, meta={})
 
 
-def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPlan,
-                            length: float = 1.0) -> int:
+def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPlan) -> int:
     """Number of pattern periods: nearest integer to 1/T* with T* = eps*(c/(2J))^(1/3).
 
     Like the tooth rule, a count whose periods alone would hold more than
@@ -583,9 +582,9 @@ def competitor_period_count(spec: PotentialSpec, eps: float, plan: CompetitorPla
     """
     check_eps(eps)
     t_star = eps * (plan.c_int / (2.0 * plan.J)) ** (1.0 / 3.0)
-    if not length * PERIOD_PLATEAU_PTS <= MAX_NODES * t_star:
-        raise _too_many_nodes("the period rule at this eps and length")
-    return int(round(length / t_star))
+    if not PERIOD_PLATEAU_PTS <= MAX_NODES * t_star:
+        raise _too_many_nodes("the period rule at this eps")
+    return int(round(1.0 / t_star))
 
 
 def build_h7_competitor(spec: PotentialSpec, eps: float, yhat: float,

@@ -1,9 +1,10 @@
 """Triple-well energy densities and their analytic sanity checks.
 
 A density W is a nonnegative polynomial vanishing exactly at three wells
-z1 < 0 < z2 < z3.  The canonical family is
-W(s) = (s - z1)^2 (s - z2)^2 (s - z3)^2; arbitrary polynomial densities
-with the same well set are accepted as ``custom-polynomial``.
+z1 < 0 < z2 < z3, held and evaluated in the factored form
+W(s) = ((s - z1)^m1 (s - z2)^m2 (s - z3)^m3)^2 R(s) with R > 0 on the line.
+The canonical family is m = (1, 1, 1) and R = 1; arbitrary polynomial
+densities with the same well set are accepted as ``custom-polynomial``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -63,32 +64,42 @@ class PotentialSpec:
             if len(self.coeffs) < 3:
                 raise SpecificationError("custom-polynomial requires coeffs")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-            self._validate_custom()
+            self.factors                     # an invalid density fails here
         else:
             raise SpecificationError(f"unknown potential kind {self.kind!r}")
 
-    def _validate_custom(self):
-        scale = max(abs(c) for c in self.coeffs)
-        for z in self.wells:
-            if abs(npp.polyval(z, self.coeffs)) > 1e-9 * scale:
+    @functools.cached_property
+    def factors(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """(m, R) with W(s) = (prod_i (s - z_i)^m_i)^2 * R(s), computed once per spec.
+
+        A custom density is accepted only when it factors so: each well is a
+        root of even order 2*m_i (the order of its first derivative that does
+        not vanish there), one division by the squared well product leaves no
+        remainder, and R has no root within 1e-3 of the real line and R(0) > 0.
+        """
+        if self.kind == TRIPLE_WELL:
+            return (1, 1, 1), (1.0,)
+        c = self.coeffs[: self.degree + 1]
+        tol = 1e-9 * max(abs(v) for v in c)
+        derivs = [npp.polyder(c, k) for k in range(len(c))]
+        orders = [next((k for k, d in enumerate(derivs) if abs(npp.polyval(z, d)) > tol), 0)
+                  for z in self.wells]
+        for z, k in zip(self.wells, orders):
+            if not k:
                 raise SpecificationError(f"W does not vanish at well {z}")
-        # W > 0 off the wells on the whole line when it grows at both ends,
-        # has no real root but the wells (to 1e-3), and is positive midway
-        # between neighbouring wells, where it keeps one sign
-        deg = self.degree
-        if deg % 2 or not self.coeffs[deg] > 0.0:
-            raise SpecificationError(
-                "W must be positive away from the wells; it needs an even degree "
-                "and a positive leading coefficient")
-        roots = npp.polyroots(self.coeffs[: deg + 1])
-        real = roots.real[np.abs(roots.imag) <= 1e-3]
-        away = real[np.min(np.abs(real[:, None] - np.asarray(self.wells)), axis=1) > 1e-3]
-        z1, z2, z3 = self.wells
-        mids = (0.5 * (z1 + z2), 0.5 * (z2 + z3))
-        bad = [*away, *(s for s in mids if not npp.polyval(s, self.coeffs) > 0.0)]
+            if k % 2:
+                raise SpecificationError("W must be positive away from the wells; it changes "
+                                         f"sign at the well {z:.6g} of odd order {k}")
+        m = tuple(k // 2 for k in orders)
+        R, rem = npp.polydiv(c, npp.polyfromroots(np.repeat(self.wells, 2 * np.array(m))))
+        if np.max(np.abs(rem)) > tol:
+            raise SpecificationError("W does not factor over its wells")
+        roots = npp.polyroots(R)
+        bad = [*roots.real[np.abs(roots.imag) <= 1e-3], *([] if R[0] > 0.0 else [0.0])]
         if bad:
             raise SpecificationError(
                 f"W must be positive away from the wells; fails near s={bad[0]:.6g}")
+        return m, tuple(float(c) for c in R)
 
     @property
     def degree(self) -> int:
@@ -115,11 +126,7 @@ class PotentialSpec:
         if self.kind == CUSTOM_POLY:
             out["coeffs"] = list(self.coeffs)
         if self.coercivity is not None:
-            out["coercivity"] = {
-                "q": self.coercivity.q,
-                "eta0": self.coercivity.eta0,
-                "c0": self.coercivity.c0,
-            }
+            out["coercivity"] = asdict(self.coercivity)
         return out
 
     @staticmethod
@@ -161,25 +168,29 @@ def load_potential(path) -> PotentialSpec:
         return PotentialSpec.from_dict(json.load(fh))
 
 
+def _well_product(spec: PotentialSpec, s: np.ndarray):
+    """prod_i (s - z_i)^m_i, in place on one array."""
+    zs = [z for z, k in zip(spec.wells, spec.factors[0]) for _ in range(k)]
+    prod = s - zs[0]
+    for z in zs[1:]:
+        prod *= s - z
+    return prod
+
+
 def eval_W(spec: PotentialSpec, s):
     """Evaluate the density at ``s`` (scalar or array).
 
-    The canonical family is evaluated in factored form (exact for the same
-    polynomial and free of the cancellation the expanded monomial basis
-    suffers near the wells); custom densities use Horner on their coefficients.
+    W is evaluated in its factored form (exact for the same polynomial and
+    free of the cancellation the expanded monomial basis suffers near the
+    wells); R is skipped when it is 1, as for the canonical family.
     """
-    if len(spec.coeffs) < 3:
-        raise SpecificationError("malformed coefficient list")
     s = np.asarray(s, dtype=float)
-    if spec.kind == TRIPLE_WELL:
-        z1, z2, z3 = spec.wells
-        # ((s - z1) * (s - z2) * (s - z3))**2, in place on one array
-        prod = s - z1
-        prod *= s - z2
-        prod *= s - z3
-        prod *= prod
-        return prod
-    return npp.polyval(s, spec.coeffs)
+    R = spec.factors[1]
+    prod = _well_product(spec, s)
+    prod *= prod
+    if R != (1.0,):
+        prod *= npp.polyval(s, R)
+    return prod
 
 
 def eval_dW(spec: PotentialSpec, s):
@@ -202,28 +213,15 @@ def eval_dW(spec: PotentialSpec, s):
 
 
 def sqrt_W(spec: PotentialSpec, s):
-    """Evaluate sqrt(max(W, 0)).
+    """Evaluate sqrt(W) as |prod_i (s - z_i)^m_i| * sqrt(R(s)).
 
-    For the canonical family this is computed as |s-z1||s-z2||s-z3|, which is
-    exact and avoids the rounding noise of sqrt(polyval) near the wells.
+    The factored form keeps the exact zeros at the wells, which the rounding
+    noise of sqrt(polyval) near them would lose; R > 0 needs no clamp.
     """
     s = np.asarray(s, dtype=float)
-    if spec.kind == TRIPLE_WELL:
-        z1, z2, z3 = spec.wells
-        return np.abs(s - z1) * np.abs(s - z2) * np.abs(s - z3)
-    return np.sqrt(np.maximum(eval_W(spec, s), 0.0))
-
-
-def well_order(spec: PotentialSpec, z: float) -> int:
-    """Multiplicity of a well as a polynomial root (2 for the canonical family)."""
-    coeffs = np.asarray(spec.coeffs)
-    scale = np.max(np.abs(coeffs))
-    c = coeffs
-    for m in range(1, len(coeffs)):
-        c = npp.polyder(c)
-        if abs(npp.polyval(z, c)) > 1e-8 * scale:
-            return m
-    return len(coeffs) - 1
+    R = spec.factors[1]
+    root = np.abs(_well_product(spec, s))
+    return root if R == (1.0,) else root * np.sqrt(npp.polyval(s, R))
 
 
 def eta0_bound(spec: PotentialSpec) -> float:
@@ -234,10 +232,10 @@ def eta0_bound(spec: PotentialSpec) -> float:
 
 def coercivity_exponent(spec: PotentialSpec) -> float:
     """Exponent q of the coercivity bound: the attached record's, else the
-    largest well order, which is exact and needs no sampling."""
+    largest well order 2*m_i, which is exact and needs no sampling."""
     if spec.coercivity is not None:
         return spec.coercivity.q
-    return float(max(well_order(spec, z) for z in spec.wells))
+    return float(2 * max(spec.factors[0]))
 
 
 def estimate_coercivity(spec: PotentialSpec, grid_n: int = 100_000) -> Coercivity:

@@ -156,6 +156,27 @@ def test_sweep_jobs_match_serial(spec_files, tmp_path):
     assert starts[0] == starts[1]
 
 
+# example 2 times (1 + s^2), a custom density whose sqrt(W) has no closed form
+EX2_TIMES_1_PLUS_S2 = {"kind": "custom-polynomial", "wells": [-1.0, 0.5, 1.0],
+                       "coeffs": [0.25, -1, 0.75, 1, -1.25, 1, -0.75, -1, 1]}
+
+
+def test_sweep_on_a_custom_potential_keeps_the_well_seeds(tmp_path):
+    # the two-well and three-well seeds once failed to build on every custom
+    # density, and this sweep named random-1 the winner (lambda3 0.1695), exit 0
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(EX2_TIMES_1_PLUS_S2))
+    out = tmp_path / "s.csv"
+    r = run_cli("sweep", "--potential", str(path), "--eps", "0.1", "--starts", "5",
+                "--max-iters", "10", "--grid-n", "2001", "--out", str(out),
+                env={**BLAS_PINNED, "PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    last = out.read_text().splitlines()[-1].split(",")
+    assert last[-1] == "two-well" and float(last[4]) == 0.0
+    starts = json.loads(r.stdout)["sweep"]["records"][0]["starts"]
+    assert {"two-well", "three-well"} <= {s["start_kind"] for s in starts}
+
+
 # every variable that sets the threads of some BLAS
 BLAS_THREAD_VARS = {var for family in tripwell.BLAS_THREAD_VARS.values() for var in family}
 

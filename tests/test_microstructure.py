@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 from tripwell import (
     Coercivity,
@@ -33,6 +34,7 @@ from tripwell.microstructure import (
     competitor_plan,
     two_well_count,
 )
+from tripwell.potential import coercivity_exponent
 
 
 def tooth_boundaries(u):
@@ -605,3 +607,48 @@ def test_builders_keep_one_copy_of_the_profile(ex1, ex2, c1, c2, kind):
     for arr in (u.nodes, u.values, u.cell_widths()):
         assert arr.base is None and not arr.flags.writeable
     assert u.nodes is u.grid.nodes
+
+
+# ---------------------------------------------------------------------------
+# custom-polynomial densities
+# ---------------------------------------------------------------------------
+
+BUILDERS = {
+    "two-well": lambda spec: build_two_well_sawtooth(spec, 0.07),
+    "three-well": lambda spec: build_three_well_profile(spec, 0.07),
+    "h7": lambda spec: build_h7_competitor(spec, 0.07, 0.585),
+    "h8": lambda spec: build_h8_competitor(spec, 0.07, 0.204),
+}
+
+
+@pytest.mark.parametrize("kind", list(BUILDERS))
+@pytest.mark.parametrize("which", ["ex1", "ex2"])
+def test_canonical_density_written_as_custom_builds_the_same_profile(ex1, ex2, which, kind):
+    # sqrt(polyval) once rounded to 0 beside the wells, and every builder
+    # integrated 1/0 on a custom density
+    spec = {"ex1": ex1, "ex2": ex2}[which]
+    custom = PotentialSpec(kind="custom-polynomial", wells=spec.wells, coeffs=spec.coeffs)
+    u, v = BUILDERS[kind](spec), BUILDERS[kind](custom)
+    assert len(v) == len(u)
+    assert energy_Ieps(v, 0.07, custom).total == pytest.approx(
+        energy_Ieps(u, 0.07, spec).total, rel=1e-12)
+
+
+def test_custom_density_without_closed_form_builds_the_well_profiles(ex2):
+    custom = PotentialSpec(kind="custom-polynomial", wells=ex2.wells,
+                           coeffs=tuple(npp.polymul(ex2.coeffs, (1.0, 0.0, 1.0))))
+    assert custom.factors == ((1, 1, 1), (1.0, 0.0, 1.0))
+    two, three = (energy_Ieps(BUILDERS[k](custom), 0.07, custom).total
+                  for k in ("two-well", "three-well"))
+    assert np.isfinite(two) and np.isfinite(three) and two < three
+
+
+def test_order_four_well_sets_the_coercivity_exponent(ex2):
+    z1 = ex2.wells[0]
+    custom = PotentialSpec(kind="custom-polynomial", wells=ex2.wells,
+                           coeffs=tuple(npp.polymul(ex2.coeffs, npp.polyfromroots([z1, z1]))))
+    assert custom.factors == ((2, 1, 1), (1.0,))
+    assert coercivity_exponent(custom) == 4.0
+    assert len(BUILDERS["two-well"](custom)) == 112_134
+    with pytest.raises(ConstructionError, match="does not fit inside a tooth"):
+        BUILDERS["three-well"](custom)

@@ -61,13 +61,14 @@ def test_custom_polynomial_matches_family(ex1):
     assert np.allclose(eval_dW(spec, s), eval_dW(ex1, s), rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("factor", [(1.0, -0.2), (35.5, -12.0, 1.0)],
-                         ids=["times-1-s/5", "times-(s-6)^2-0.5"])
+@pytest.mark.parametrize("factor", [(1.0, -0.2), (35.5, -12.0, 1.0), (1.0, -1.0)],
+                         ids=["times-1-s/5", "times-(s-6)^2-0.5", "times-1-s-odd-order-well"])
 def test_custom_polynomial_negative_beyond_the_wells_rejected(ex1, ex2, factor):
     # the bundled family, written as custom-polynomial, is accepted
     for spec in (ex1, ex2):
         PotentialSpec(kind="custom-polynomial", wells=spec.wells, coeffs=spec.coeffs)
-    # W < 0 beyond [z1 - 2, z3 + 2], which a sampled check would not see
+    # W < 0 beyond [z1 - 2, z3 + 2], which a sampled check would not see;
+    # times (1 - s), z3 is a root of odd order 3, where W changes sign
     coeffs = npp.polymul(ex1.coeffs, factor)
     assert npp.polyval(6.0, coeffs) < -7000.0
     with pytest.raises(SpecificationError, match="W must be positive away from the wells"):
@@ -198,3 +199,12 @@ def test_eval_W_matches_the_factored_product_bit_for_bit(ex1):
     assert eval_W(ex1, s).tobytes() == (prod * prod).tobytes()
     p = (0.25 - z1) * (0.25 - z2) * (0.25 - z3)
     assert float(eval_W(ex1, 0.25)).hex() == (p * p).hex()
+
+
+def test_sqrt_W_matches_the_factored_product_bit_for_bit(ex1):
+    z1, z2, z3 = ex1.wells
+    s = np.linspace(-3.0, 3.0, 2001)
+    ref = np.abs(s - z1) * np.abs(s - z2) * np.abs(s - z3)
+    assert sqrt_W(ex1, s).tobytes() == ref.tobytes()
+    r = abs(0.25 - z1) * abs(0.25 - z2) * abs(0.25 - z3)
+    assert float(sqrt_W(ex1, 0.25)).hex() == r.hex()
