@@ -192,6 +192,7 @@ def _cmd_minimize(args, t0):
         "start_kind": best.start_kind,
         "per_start": {s.start_kind: s.value for s in best.per_start},
         "starts": [dataclasses.asdict(s) for s in best.per_start],
+        "failed_starts": [{"start_kind": k, "error": e} for k, e in best.failed],
     }})
     return 0
 
@@ -213,6 +214,7 @@ def _cmd_sweep(args, t0):
             "layersA": r.n_layers_A, "layersB": r.n_layers_B,
             "start_kind": r.start_kind, "start_values": r.start_values,
             "starts": [dataclasses.asdict(s) for s in r.per_start],
+            "failed_starts": [{"start_kind": k, "error": e} for k, e in r.failed],
         } for r in records],
     }})
     return 0

@@ -17,11 +17,15 @@ exact gradient.  The descent objective runs the gradient stage only when its
 line search reads the slope.  What depends on the nodes alone (cell widths,
 h_{j-1} + h_j, the interior trapezoid weights) comes from the ``Grid``,
 computed once and shared by every pass on it; a profile also keeps its
-slopes u_x.  The front-ends only validate, scale and package the stages'
-output.
+slopes u_x.  The stages write into caller-owned buffers (``_buffers``): the
+descent objective makes one set per descent, so its passes allocate no
+grid-sized array, and each front-end makes one for its own call.  The
+front-ends only validate, scale and package the stages' output.
 
-Any density object exposing W(s)/dW(s) is accepted, so decoupled convexity
-checks can swap in a plain quadratic.
+Any density object exposing W(s, out=None) and dW(s, out=None) is accepted,
+so decoupled convexity checks can swap in a plain quadratic; ``out`` is an
+array the shape of ``s`` that the result may be written into, and the
+returned array is the one read.
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ def discrete_derivatives(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     return ux, _second_difference(u.grid, ux)
 
 
-def _second_difference(grid: Grid, ux: np.ndarray) -> np.ndarray:
+def _second_difference(grid: Grid, ux: np.ndarray, out=None) -> np.ndarray:
     """u_xx at the interior nodes from the cell slopes ux: 2*(jump of ux)/(h_{j-1}+h_j)."""
-    uxx = ux[1:] - ux[:-1]
+    uxx = np.subtract(ux[1:], ux[:-1], out=out)
     uxx *= 2.0
     uxx /= grid.width_pairs
     return uxx
@@ -81,39 +85,49 @@ def _stencil(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, np.negative(b, out=b), c
 
 
-def _value_parts(grid: Grid, v: np.ndarray, ux: np.ndarray, uxx: np.ndarray, density
-                 ) -> tuple[float, float, float]:
+def _buffers(n: int) -> tuple[np.ndarray, ...]:
+    """The scratch arrays of the gradient stage on an n-node grid: one per
+    node, one per cell and two per interior node; the value stage uses the
+    first two."""
+    return np.empty(n), np.empty(n - 1), np.empty(n - 2), np.empty(n - 2)
+
+
+def _value_parts(grid: Grid, v: np.ndarray, ux: np.ndarray, uxx: np.ndarray, density,
+                 buf: tuple) -> tuple[float, float, float]:
     """The value stage of a pass: the raw integrals of u_xx^2, W(u_x) and u^2."""
-    # the in-place steps here and in ``_gradient_stage`` do the arithmetic of
-    # the plain expressions in their comments, in the same order, without a
-    # fresh grid-sized temporary per operation
-    u2 = v * v
-    u2_cells = u2[:-1] + u2[1:]
+    # the steps here and in ``_gradient_stage`` do the arithmetic of the
+    # plain expressions in their comments, in the same order, in ``buf``;
+    # u_xx^2 passes through the node buffer before u^2 does
+    nodes, cells = buf[:2]
+    interface = float(np.dot(grid.interior_weights, np.multiply(uxx, uxx, out=nodes[:-2])))
+    bulk_W = float(np.dot(grid.widths, density.W(ux, out=cells)))
+    u2 = np.multiply(v, v, out=nodes)
+    u2_cells = np.add(u2[:-1], u2[1:], out=cells)
     u2_cells *= 0.5                            # 0.5 * (u2[:-1] + u2[1:])
-    return (float(np.dot(grid.interior_weights, uxx * uxx)),
-            float(np.dot(grid.widths, density.W(ux))), float(np.dot(grid.widths, u2_cells)))
+    return interface, bulk_W, float(np.dot(grid.widths, u2_cells))
 
 
 def _gradient_stage(grid: Grid, v: np.ndarray, ux: np.ndarray, uxx: np.ndarray, eps: float,
-                    density, stencil) -> np.ndarray:
+                    density, stencil, buf: tuple, out=None) -> np.ndarray:
     """The gradient stage of a pass: the E_eps gradient at the interior nodes,
-    with ``stencil`` = ``_stencil(grid)``; eps enters only here."""
+    into ``out``, or else into the node buffer of ``buf``, with ``stencil`` =
+    ``_stencil(grid)``; eps enters only here."""
     # interface term: chain rule through the stencil; the slice adds keep
     # the per-node order (a, then b, then c) of a scatter-add
     a, b, c = stencil
-    t = 2.0 * grid.interior_weights
+    g_if, cells, t, tmp = buf
+    np.multiply(grid.interior_weights, 2.0, out=t)
     t *= uxx                                   # 2 * w_int * uxx
-    g_if = np.zeros(len(v))
-    tmp = t * a
+    g_if.fill(0.0)
+    np.multiply(t, a, out=tmp)
     g_if[:-2] += tmp
     g_if[1:-1] += np.multiply(t, b, out=tmp)
     g_if[2:] += np.multiply(t, c, out=tmp)
     # W term: cells j-1 and j both see u_j through their slopes
-    dW = np.asarray(density.dW(ux))
+    dW = np.asarray(density.dW(ux, out=cells))
     # u^2 term under the nodal trapezoid rule; together
     # g = eps^6 * g_if[1:-1] + (dW[:-1] - dW[1:]) + v[1:-1] * (h[:-1] + h[1:])
-    g = g_if[1:-1]
-    g *= eps**6
+    g = np.multiply(g_if[1:-1], eps**6, out=g_if[1:-1] if out is None else out)
     g += np.subtract(dW[:-1], dW[1:], out=tmp)
     g += np.multiply(v[1:-1], grid.width_pairs, out=tmp)
     return g
@@ -144,23 +158,24 @@ def _scale_gradient(g: np.ndarray, eps: float, scaling: str) -> np.ndarray:
 
 def _ieps_objective(grid: Grid, eps: float, density):
     """The descent objective on ``grid``: nodal values v -> (I_eps, gradient),
-    the gradient a callable of no argument.
+    the gradient a callable of the array to write it into.
 
     A call runs one pass and its value stage; the callable runs the gradient
-    stage on the same pass, and must be called before v changes.  Both are
-    bit-identical to ``energy_Ieps(...).total`` and ``energy_gradient``; the
-    grid's geometry and stencil are formed once, here, so a call does only
-    the work that depends on the values.
+    stage on the same pass, and must be called before v changes and before
+    the next call.  Both are bit-identical to ``energy_Ieps(...).total`` and
+    ``energy_gradient``; the grid's geometry and stencil, and the pass's
+    u_x, u_xx and stage buffers, are made once, here.
     """
     stencil = _stencil(grid)
     h = grid.widths
+    ux, uxx, buf = np.empty(len(h)), np.empty(len(h) - 1), _buffers(len(h) + 1)
 
     def fg(v: np.ndarray):
-        ux = np.diff(v) / h
-        uxx = _second_difference(grid, ux)
-        parts = _scale_parts(_value_parts(grid, v, ux, uxx, density), eps, I_EPS)
-        return float(parts[0] + parts[1] + parts[2]), lambda: _scale_gradient(
-            _gradient_stage(grid, v, ux, uxx, eps, density, stencil), eps, I_EPS)
+        np.divide(np.subtract(v[1:], v[:-1], out=ux), h, out=ux)    # np.diff(v) / h
+        _second_difference(grid, ux, out=uxx)
+        parts = _scale_parts(_value_parts(grid, v, ux, uxx, density, buf), eps, I_EPS)
+        return float(parts[0] + parts[1] + parts[2]), lambda out: _scale_gradient(
+            _gradient_stage(grid, v, ux, uxx, eps, density, stencil, buf, out), eps, I_EPS)
 
     return fg
 
@@ -187,7 +202,8 @@ def _under_resolved(h: np.ndarray, ux: np.ndarray, eps: float, density) -> bool:
 def energy_breakdown(u: GridFunction, eps: float, density, scaling: str = I_EPS) -> EnergyBreakdown:
     check_eps(eps)
     ux, uxx = discrete_derivatives(u)
-    parts = _scale_parts(_value_parts(u.grid, u.values, ux, uxx, density), eps, scaling)
+    buf = np.empty(len(u)), np.empty(len(u) - 1)
+    parts = _scale_parts(_value_parts(u.grid, u.values, ux, uxx, density, buf), eps, scaling)
     return EnergyBreakdown(
         total=parts[0] + parts[1] + parts[2],
         interface=parts[0], bulk_W=parts[1], bulk_u2=parts[2],
@@ -210,7 +226,8 @@ def energy_gradient(u: GridFunction, eps: float, density, scaling: str = I_EPS) 
     """d(energy)/d(u_j) at interior nodes (boundary nodes are pinned)."""
     check_eps(eps)
     ux, uxx = discrete_derivatives(u)
-    g = _gradient_stage(u.grid, u.values, ux, uxx, eps, density, _stencil(u.grid))
+    g = _gradient_stage(u.grid, u.values, ux, uxx, eps, density, _stencil(u.grid),
+                        _buffers(len(u)))
     return _scale_gradient(g, eps, scaling)
 
 
@@ -233,6 +250,7 @@ def interface_plus_W(u: GridFunction, eps: float, density,
     grid = Grid(nodes[i0:i1 + 1])
     v = u.values[i0:i1 + 1]
     ux = np.diff(v) / grid.widths
-    raw = _value_parts(grid, v, ux, _second_difference(grid, ux), density)
+    buf = np.empty(len(v)), np.empty(len(v) - 1)
+    raw = _value_parts(grid, v, ux, _second_difference(grid, ux), density, buf)
     interface, bulk_W, _ = _scale_parts(raw, eps, I_EPS)
     return interface + bulk_W

@@ -9,8 +9,10 @@ values with the exact discrete gradient; boundary values stay pinned at zero.
 
 A start travels as plain data (eps, its kind and the numbers that kind
 needs); the process that descends it builds its seed, so a worker process
-receives no profile.  The random starts' draws come from the standard
-library's ``random.Random(seed)``, and numpy.random is never loaded.
+receives no profile, and sends back raw arrays, of which the caller keeps
+the best so far and makes a profile of the winner alone.  The random
+starts' draws come from the standard library's ``random.Random(seed)``,
+and numpy.random is never loaded.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .analysis import transition_layers, volume_fractions
 from .constants import LimitConstants, check_hypotheses, limit_constants
 from .energy import _ieps_objective
 from .errors import ConstructionError, NumericError, ParameterError, TripwellError, check_eps
-from .grids import GridFunction
+from .grids import Grid, GridFunction
 from .microstructure import (
     build_h7_competitor,
     build_h8_competitor,
@@ -143,6 +145,7 @@ class MinimizeResult:
     start_kind: str = ""
     history: list = field(default_factory=list)
     per_start: list = field(default_factory=list)   # a StartRecord per start
+    failed: list = field(default_factory=list)      # (start kind, error text) per failed start
 
 
 @dataclass
@@ -159,6 +162,7 @@ class SweepRecord:
     start_kind: str
     eta: float = 0.0
     per_start: list = field(default_factory=list)   # a StartRecord per start
+    failed: list = field(default_factory=list)      # (start kind, error text) per failed start
 
     @property
     def start_values(self) -> dict:
@@ -181,7 +185,8 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     counts the energy evaluations.  ``reason`` says why the descent
     stopped: ``grad_tol`` (the gradient's sup-norm is at most
     ``opts.grad_tol``; only then is ``converged`` True), ``max_iters``, or
-    ``line_search`` (no step lowers the energy enough).
+    ``line_search`` (no step lowers the energy enough).  It works in arrays
+    made once, ``(2 * MEMORY + 17) * 8`` bytes per node in all.
     """
     check_eps(eps)
     full = init.values.copy()
@@ -194,42 +199,52 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
         full[1:-1] = x
         return objective(full)
 
-    x = full[1:-1].copy()
+    m = len(full) - 2
+    S, Y, X, G = (np.empty((rows, m)) for rows in (MEMORY + 1, MEMORY + 1, 3, 3))
+    d, tmp = np.empty(m), np.empty(m)
+    rho = [0.0] * (MEMORY + 1)             # 1 / s.y of each row's pair
+    kept = deque(maxlen=MEMORY)            # rows of the kept pairs, oldest first
+    points = list(zip(X, G))               # (x, g) rows: the iterate and two trial points
+    x, g = points[0]
+    x[:] = full[1:-1]
     f, grad = fg(x)
     if not np.isfinite(f):
         raise NumericError(f"the start's energy is {f}")
-    g = grad()
+    g = grad(g)
     history = [f]
-    pairs = deque(maxlen=MEMORY)           # (s, y, 1 / s.y), oldest first
     gamma = 1.0                            # initial scaling s.y / y.y of the newest pair
     while True:
-        if np.max(np.abs(g)) <= opts.grad_tol:
+        if np.max(np.abs(g, out=tmp)) <= opts.grad_tol:
             reason = "grad_tol"
             break
         if len(history) > opts.max_iters:
             reason = "max_iters"
             break
-        d = _two_loop(pairs, gamma, g)
+        _two_loop(S, Y, rho, kept, gamma, g, d, tmp)
         gd = float(g @ d)
         if not gd < 0.0:
             # rounding cost the direction its descent: restart from -g
-            pairs.clear()
-            d = np.negative(g)
+            kept.clear()
+            np.negative(g, out=d)
             gd = float(g @ d)
         found = None
         if gd < 0.0:
             # with no pair kept, d = -g and the first trial moves x by 1
-            found = _wolfe_step(fg, x, f, gd, d, 1.0 if pairs else 1.0 / math.sqrt(-gd))
+            found = _wolfe_step(fg, x, f, gd, d, 1.0 if kept else 1.0 / math.sqrt(-gd),
+                                [p for p in points if p[0] is not x])
         if found is None:
             reason = "line_search"
             break
         x_new, f, g_new = found
-        s, y = x_new - x, g_new - g
+        # a new pair takes a row no kept pair holds, so a rejected one overwrites none
+        row = next(i for i in range(MEMORY + 1) if i not in kept)
+        s, y = np.subtract(x_new, x, out=S[row]), np.subtract(g_new, g, out=Y[row])
         sy, yy = float(s @ y), float(y @ y)
         # s.y > 0 keeps the estimate positive definite; a pair so small that
         # 1 / s.y or s.y / y.y overflows is rounding noise
         if sy > 0.0 and yy > 0.0 and math.isfinite(1.0 / sy) and math.isfinite(sy / yy):
-            pairs.append((s, y, 1.0 / sy))
+            rho[row] = 1.0 / sy
+            kept.append(row)
             gamma = sy / yy
         x, g = x_new, g_new
         history.append(f)
@@ -241,52 +256,58 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
                           history=history)
 
 
-def _two_loop(pairs: deque, gamma: float, g: np.ndarray) -> np.ndarray:
-    """-H g by the two-loop recursion, H the inverse-Hessian estimate of the
-    correction pairs (s, y, 1 / s.y), oldest first, with initial scaling gamma."""
-    d = np.negative(g)
-    if not pairs:
-        return d
+def _two_loop(S: np.ndarray, Y: np.ndarray, rho: list, kept: deque, gamma: float,
+              g: np.ndarray, d: np.ndarray, tmp: np.ndarray) -> None:
+    """-H g into ``d`` by the two-loop recursion, H the inverse-Hessian
+    estimate of the correction pairs (S[i], Y[i], rho[i]) for the rows i in
+    ``kept``, oldest first, with initial scaling gamma; ``tmp`` is scratch."""
+    np.negative(g, out=d)
+    if not kept:
+        return
     alphas = []
-    for s, y, rho in reversed(pairs):
-        alphas.append(rho * float(s @ d))
-        d -= alphas[-1] * y
+    for i in reversed(kept):
+        alphas.append(rho[i] * float(S[i] @ d))
+        d -= np.multiply(Y[i], alphas[-1], out=tmp)       # d -= alpha * y
     d *= gamma
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        beta = rho * float(y @ d)
-        d += (alpha - beta) * s
-    return d
+    for i, alpha in zip(kept, reversed(alphas)):
+        beta = rho[i] * float(Y[i] @ d)
+        d += np.multiply(S[i], alpha - beta, out=tmp)     # d += (alpha - beta) * s
 
 
-def _wolfe_step(fg, x: np.ndarray, f: float, gd: float, d: np.ndarray, step: float):
+def _wolfe_step(fg, x: np.ndarray, f: float, gd: float, d: np.ndarray, step: float, trials):
     """A step along the descent direction ``d`` that meets the weak Wolfe
     conditions: (x, f, g) at the new point, or None.
 
-    ``fg`` maps a point to its energy and a callable of no argument for its
-    gradient.  ``gd`` is the slope g.d at ``x``.  A trial that does not lower
-    the energy by ``ARMIJO * step * gd``, or whose energy or slope is not
-    finite, is too long, and the step shrinks by safeguarded quadratic
-    interpolation; only a trial that lowers the energy enough has its
-    gradient formed and its slope read.  One whose slope is still below
+    ``fg`` maps a point to its energy and a callable of the array to write
+    its gradient into.  ``gd`` is the slope g.d at ``x``.  A trial that does
+    not lower the energy by ``ARMIJO * step * gd``, or whose energy or slope
+    is not finite, is too long, and the step shrinks by safeguarded
+    quadratic interpolation; only a trial that lowers the energy enough has
+    its gradient formed and its slope read.  One whose slope is still below
     ``CURVATURE * gd`` is too short, and the step grows 4x until a too-long
     trial brackets it.  After ``MAX_TRIALS`` trials the longest point that
-    lowered the energy enough is taken, if any.
+    lowered the energy enough is taken, if any.  A trial writes the (x, g)
+    pair of ``trials`` that the last short point does not hold.
     """
     lo, f_lo, gd_lo = 0.0, f, gd
     hi = f_hi = np.inf
     short = None
+    which = 0
     for _ in range(MAX_TRIALS):
+        x_buf, g_buf = trials[which]
         # a trial that overflows is too long, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = x + step * d
+            x_new = np.multiply(d, step, out=x_buf)
+            x_new += x                                     # x + step * d
             f_new, grad = fg(x_new)
-            g_new = grad() if f_new < f and f_new <= f + ARMIJO * step * gd else None
+            g_new = grad(g_buf) if f_new < f and f_new <= f + ARMIJO * step * gd else None
             gd_new = np.nan if g_new is None else float(g_new @ d)
         if np.isfinite(gd_new):
             if gd_new >= CURVATURE * gd:
                 return x_new, f_new, g_new
             lo, f_lo, gd_lo = step, f_new, gd_new
             short = x_new, f_new, g_new
+            which = 1 - which
         else:
             hi, f_hi = step, f_new
         if hi == np.inf:
@@ -371,10 +392,11 @@ def _build_seed(spec, eps: float, kind: str, args: tuple,
 
 
 def _descend(spec, eps: float, kind: str, args: tuple, opts: MinimizeOptions,
-             constants: LimitConstants) -> tuple[StartRecord, MinimizeResult] | TripwellError:
+             constants: LimitConstants) -> tuple | TripwellError:
     """Build one start's seed and descend from it: the start's record, with
-    the time of its descent, and the result.  A TripwellError that either
-    step raised is returned, not raised.
+    the time of its descent, the descent's ``history``, and the raw nodes,
+    values and meta of its last iterate (no profile, and the result is left
+    as returned).  A TripwellError that either step raised is returned.
 
     Module-level so that a worker process can run it.
     """
@@ -384,26 +406,26 @@ def _descend(spec, eps: float, kind: str, args: tuple, opts: MinimizeOptions,
         r = minimize_Ieps(spec, eps, init, opts)
     except TripwellError as exc:
         return exc
-    r.start_kind = kind
-    return StartRecord(kind, r.value, r.converged, len(r.u), r.iterations, r.n_fev, r.reason,
-                       time.perf_counter() - t0), r
+    record = StartRecord(kind, r.value, r.converged, len(r.u), r.iterations, r.n_fev, r.reason,
+                         time.perf_counter() - t0)
+    return record, r.history, r.u.nodes, r.u.values, r.u.meta
 
 
 def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: LimitConstants,
                 max_workers: int = 0):
-    """Every start of each rung, one rung at a time: a list per rung of
+    """Every start of each rung, one rung at a time: an iterator per rung of
     (start kind, ``_descend``'s outcome).
 
-    A generator, which its caller closes.  Every eps is checked, and every
-    start planned (``_seeds``), before any seed is built.  With more than
-    one worker (``_workers`` for the ladder's starts, at most ``max_workers``
-    unless that is 0) the starts run in a pool of forked worker processes,
-    which is joined when the generator finishes or is closed; each worker is
-    sent the start's plain data, builds the seed and descends it, so this
-    process never holds a seed.  A rung is yielded as soon as its starts are
-    done, and nothing here keeps it, so the caller holds one rung's results
-    at a time.  Each start depends only on its plan, ``opts`` and
-    ``constants``, so the results are the same for every worker count.
+    A generator, which its caller closes after reading each rung to its
+    end.  Every eps is checked, and every start planned (``_seeds``), before
+    any seed is built.  With more than one worker (``_workers`` for the
+    ladder's starts, at most ``max_workers`` unless that is 0) the starts
+    run in a pool of forked worker processes, which is joined when the
+    generator finishes or is closed; each worker is sent the start's plain
+    data, builds the seed and descends it, so this process never holds a
+    seed.  An outcome is yielded as it arrives, and nothing here keeps it.
+    Each start depends only on its plan, ``opts`` and ``constants``, so the
+    results are the same for every worker count.
     """
     for eps in eps_list:
         check_eps(eps)
@@ -425,7 +447,7 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
         starts = zip((kind for _, kind, _ in tasks), outcomes)
         for _ in eps_list:
             # every rung has exactly opts.starts starts
-            yield list(islice(starts, opts.starts))
+            yield islice(starts, opts.starts)
     finally:
         if pool is not None:
             # joins every worker; the starts no worker has taken yet are
@@ -434,32 +456,48 @@ def _run_starts(spec, eps_list: list[float], opts: MinimizeOptions, constants: L
 
 
 def multi_start(spec, eps: float, opts: MinimizeOptions = MinimizeOptions(),
-                constants: LimitConstants | None = None,
-                starts: list[tuple[str, tuple[StartRecord, MinimizeResult] | TripwellError]]
-                | None = None) -> MinimizeResult:
+                constants: LimitConstants | None = None, starts=None) -> MinimizeResult:
     """Run descent from every seed and return the argmin.
 
     Fully deterministic given ``opts.seed``, which seeds the random starts'
-    ``random.Random``; ties break on start order.  Seeds that fail to
-    construct or to take a single step are dropped: ``per_start`` lists only
-    the starts that built and descended.  If every start fails, the error
-    aggregates the per-start reasons.  Without ``starts`` this rung's starts
-    run here (``_run_starts``, which may build and descend them in worker
-    processes); ``starts`` are this rung's finished starts, (start kind,
-    ``_descend``'s outcome), when ``epsilon_sweep`` ran them with the rest
-    of its ladder.  Each start's StartRecord comes from ``_descend``.
+    ``random.Random``.  Outcomes are read as they arrive: every start's
+    StartRecord is kept, but only the lowest outcome so far (ties to the
+    earlier start), and the winner alone becomes a profile.  A start whose
+    seed fails to construct or to take a single step is listed in
+    ``failed`` as (start kind, error text), not in ``per_start``.  If every
+    start fails, the error aggregates the per-start reasons.  Without
+    ``starts`` this rung's starts run here (``_run_starts``, which may build
+    and descend them in worker processes); ``starts`` are this rung's
+    (start kind, ``_descend``'s outcome), when ``epsilon_sweep`` runs them
+    with the rest of its ladder.
     """
     if starts is None:
         c = constants if constants is not None else limit_constants(spec)
-        starts, = _run_starts(spec, [eps], opts, c)
-    done = [outcome for _, outcome in starts if not isinstance(outcome, TripwellError)]
-    if not done:
+        # the pool lives while the rung's outcomes are read
+        with closing(_run_starts(spec, [eps], opts, c)) as rungs:
+            return _pick(eps, next(rungs))
+    return _pick(eps, starts)
+
+
+def _pick(eps: float, starts) -> MinimizeResult:
+    """``multi_start``'s reading of one rung's (start kind, outcome) pairs."""
+    records, failed, best = [], [], None
+    for kind, outcome in starts:
+        if isinstance(outcome, TripwellError):
+            failed.append((kind, str(outcome)))
+            continue
+        records.append(outcome[0])
+        if best is None or outcome[0].value < best[0].value:
+            best = outcome
+    if best is None:
         raise ConstructionError("all starts failed: " + "; ".join(
-            f"{kind}: {exc}" for kind, exc in starts))
-    best = min(range(len(done)), key=lambda i: (done[i][0].value, i))
-    out = done[best][1]
-    out.per_start = [record for record, _ in done]
-    return out
+            f"{kind}: {text}" for kind, text in failed))
+    record, history, nodes, values, meta = best
+    u = GridFunction._adopt(Grid._adopt(nodes), values, eps, dict(meta))
+    return MinimizeResult(u=u, value=record.value, converged=record.converged,
+                          iterations=record.iterations, n_fev=record.n_fev,
+                          reason=record.reason, start_kind=record.start_kind,
+                          history=history, per_start=records, failed=failed)
 
 
 def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
@@ -469,11 +507,11 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
 
     The starts of every rung, seed builds and descents, run together
     (``_run_starts``, at most ``max_workers`` worker processes unless that
-    is 0); each rung's winner is picked by ``multi_start`` as soon as that
-    rung is done, and the other starts' results are dropped.  Volume
-    fractions are evaluated at eta = eps^(1/(q+1)); layer counts use the
-    same eta capped below the band-degeneracy bound (at moderate eps the
-    natural window is too wide for the layer definitions to make sense).
+    is 0); ``multi_start`` picks each rung's winner from its outcomes as
+    they arrive, keeping only the best so far.  Volume fractions are
+    evaluated at eta = eps^(1/(q+1)); layer counts use the same eta capped
+    below the band-degeneracy bound (at moderate eps the natural window is
+    too wide for the layer definitions to make sense).
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -500,6 +538,7 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
                 lambda1=vf.lam[0], lambda2=vf.lam[1], lambda3=vf.lam[2],
                 n_layers_A=n_a, n_layers_B=n_b,
                 start_kind=best.start_kind, eta=eta, per_start=best.per_start,
+                failed=best.failed,
             ))
     return records
 

@@ -112,11 +112,11 @@ class PotentialSpec:
         """Monomial coefficients of dW/ds, computed once per spec."""
         return tuple(float(c) for c in npp.polyder(self.coeffs))
 
-    def W(self, s):
-        return eval_W(self, s)
+    def W(self, s, out=None):
+        return eval_W(self, s, out)
 
-    def dW(self, s):
-        return eval_dW(self, s)
+    def dW(self, s, out=None):
+        return eval_dW(self, s, out)
 
     def sqrtW(self, s):
         return sqrt_W(self, s)
@@ -168,17 +168,17 @@ def load_potential(path) -> PotentialSpec:
         return PotentialSpec.from_dict(json.load(fh))
 
 
-def _well_product(spec: PotentialSpec, s: np.ndarray):
-    """prod_i (s - z_i)^m_i, in place on one array."""
+def _well_product(spec: PotentialSpec, s: np.ndarray, out=None):
+    """prod_i (s - z_i)^m_i, in place on one array (``out`` if given)."""
     zs = [z for z, k in zip(spec.wells, spec.factors[0]) for _ in range(k)]
-    prod = s - zs[0]
+    prod = np.subtract(s, zs[0], out=out)
     for z in zs[1:]:
         prod *= s - z
     return prod
 
 
-def eval_W(spec: PotentialSpec, s):
-    """Evaluate the density at ``s`` (scalar or array).
+def eval_W(spec: PotentialSpec, s, out=None):
+    """Evaluate the density at ``s`` (scalar or array), into ``out`` if given.
 
     W is evaluated in its factored form (exact for the same polynomial and
     free of the cancellation the expanded monomial basis suffers near the
@@ -186,15 +186,15 @@ def eval_W(spec: PotentialSpec, s):
     """
     s = np.asarray(s, dtype=float)
     R = spec.factors[1]
-    prod = _well_product(spec, s)
+    prod = _well_product(spec, s, out)
     prod *= prod
     if R != (1.0,):
         prod *= npp.polyval(s, R)
     return prod
 
 
-def eval_dW(spec: PotentialSpec, s):
-    """Evaluate dW/ds at ``s``.
+def eval_dW(spec: PotentialSpec, s, out=None):
+    """Evaluate dW/ds at ``s``, into ``out`` if given.
 
     Horner's rule with the operations of ``npp.polyval`` (``c[-1] + s*0``,
     then ``c[k] + out*s``), in its order and in place on one array, so the
@@ -204,7 +204,7 @@ def eval_dW(spec: PotentialSpec, s):
         raise SpecificationError("malformed coefficient list")
     s = np.asarray(s, dtype=float)
     c = spec.dcoeffs
-    out = s * 0
+    out = np.multiply(s, 0, out=out)
     out += c[-1]
     for ck in c[-2::-1]:
         out *= s

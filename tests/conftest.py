@@ -63,11 +63,11 @@ def h8_005(ex2, c2):
 class QuadraticDensity:
     """Convex stand-in density for decoupled minimizer checks."""
 
-    def W(self, s):
-        return np.asarray(s) ** 2
+    def W(self, s, out=None):
+        return np.square(s, out=out)
 
-    def dW(self, s):
-        return 2.0 * np.asarray(s)
+    def dW(self, s, out=None):
+        return np.multiply(s, 2.0, out=out)
 
 
 @pytest.fixture()

@@ -106,6 +106,7 @@ def test_minimize_command_roundtrip(spec_files, tmp_path):
     assert payload["start_kind"] == "two-well"
     assert payload["per_start"]["two-well"] < payload["per_start"]["three-well"]
     assert [s["start_kind"] for s in payload["starts"]] == ["two-well", "three-well"]
+    assert payload["failed_starts"] == []
     for s in payload["starts"]:
         assert set(s) == {"start_kind", "value", "converged", "n_nodes", "iterations",
                           "n_fev", "reason", "descent_s"}
@@ -154,6 +155,20 @@ def test_sweep_jobs_match_serial(spec_files, tmp_path):
                        for rec in records for s in rec["starts"]])
     assert outs[0] == outs[1]
     assert starts[0] == starts[1]
+
+
+def test_sweep_lists_a_start_that_failed_to_build(spec_files, tmp_path):
+    # at eps 0.1 the h7 competitor's transitions do not fit inside its plateaus
+    _, p2 = spec_files
+    out = tmp_path / "s.csv"
+    r = run_cli("sweep", "--potential", p2, "--eps", "0.1", "--starts", "3",
+                "--max-iters", "10", "--grid-n", "2001", "--out", str(out), env=BLAS_PINNED)
+    assert r.returncode == 0, r.stderr
+    record, = json.loads(r.stdout)["sweep"]["records"]
+    assert [s["start_kind"] for s in record["starts"]] == ["two-well", "three-well"]
+    failed, = record["failed_starts"]
+    assert failed["start_kind"] == "h7-competitor" and failed["error"]
+    assert out.read_text().splitlines()[-1].endswith(",two-well")
 
 
 # example 2 times (1 + s^2), a custom density whose sqrt(W) has no closed form

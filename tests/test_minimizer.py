@@ -1,16 +1,18 @@
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
 
 import tripwell
 import tripwell.minimizer as minimizer
-from tripwell import GridFunction, energy_Ieps
+from tripwell import GridFunction, energy_gradient, energy_Ieps
 from tripwell.errors import ConstructionError, NumericError, ParameterError
 from tripwell.microstructure import (
     build_two_well_sawtooth,
@@ -73,13 +75,13 @@ def staged_objective(monkeypatch, eager: bool) -> list:
         def staged(v):
             f, grad = fg(v)
 
-            def stage():
+            def stage(out):
                 stages.append(f)
-                return grad()
+                return grad(out)
 
             if eager:
-                g = stage()
-                return f, lambda: g
+                g = stage(np.empty(len(v) - 2))
+                return f, lambda out: g
             return f, stage
 
         return staged
@@ -121,6 +123,147 @@ def test_descent_forms_gradients_only_where_the_line_search_keeps_a_trial(
     stages = staged_objective(monkeypatch, eager=False)
     res = minimize_Ieps(ex1, 0.07, seeds_007["two-well"])
     assert res.iterations + 1 <= len(stages) < res.n_fev
+
+
+def plain_lbfgs(spec, eps, init, opts, events):
+    """The descent as a deque of (s, y, 1 / s.y) pairs and a fresh array per
+    operation, on the public energy: (history, n_fev, reason); ``events``
+    counts the short Wolfe points, the short points taken after the last
+    trial, and the rejected pairs."""
+    n_fev = 0
+
+    def fg(x):
+        nonlocal n_fev
+        n_fev += 1
+        u = init.with_values(np.concatenate(([0.0], x, [0.0])))
+        return energy_Ieps(u, eps, spec).total, lambda: energy_gradient(u, eps, spec)
+
+    def two_loop(pairs, gamma, g):
+        d = -g
+        if not pairs:
+            return d
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ d))
+            d = d - alphas[-1] * y
+        d = d * gamma
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - rho * float(y @ d)) * s
+        return d
+
+    def wolfe(x, f, gd, d, step):
+        lo, f_lo, gd_lo, hi, f_hi, short = 0.0, f, gd, np.inf, np.inf, None
+        for _ in range(minimizer.MAX_TRIALS):
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_new = x + step * d
+                f_new, grad = fg(x_new)
+                ok = f_new < f and f_new <= f + minimizer.ARMIJO * step * gd
+                g_new = grad() if ok else None
+                gd_new = float(g_new @ d) if ok else np.nan
+            if np.isfinite(gd_new):
+                if gd_new >= minimizer.CURVATURE * gd:
+                    return x_new, f_new, g_new
+                lo, f_lo, gd_lo, short = step, f_new, gd_new, (x_new, f_new, g_new)
+                events["short"] += 1
+            else:
+                hi, f_hi = step, f_new
+            if hi == np.inf:
+                step *= 4.0
+            else:
+                w = hi - lo
+                curv = f_hi - f_lo - gd_lo * w
+                t = -0.5 * gd_lo * w / curv if curv > 0.0 else 0.1
+                step = lo + w * min(max(t, 0.1), 0.9)
+        events["short_taken"] += short is not None
+        return short
+
+    x = init.values[1:-1].copy()
+    f, grad = fg(x)
+    g, history, pairs, gamma = grad(), [f], deque(maxlen=minimizer.MEMORY), 1.0
+    while True:
+        if np.max(np.abs(g)) <= opts.grad_tol:
+            return history, n_fev, "grad_tol"
+        if len(history) > opts.max_iters:
+            return history, n_fev, "max_iters"
+        d = two_loop(pairs, gamma, g)
+        gd = float(g @ d)
+        if not gd < 0.0:
+            pairs.clear()
+            d = -g
+            gd = float(g @ d)
+        found = wolfe(x, f, gd, d, 1.0 if pairs else 1.0 / math.sqrt(-gd)) if gd < 0.0 else None
+        if found is None:
+            return history, n_fev, "line_search"
+        x_new, f, g_new = found
+        s, y = x_new - x, g_new - g
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > 0.0 and yy > 0.0 and math.isfinite(1.0 / sy) and math.isfinite(sy / yy):
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / yy
+        else:
+            events["rejected"] += 1
+        x, g = x_new, g_new
+        history.append(f)
+
+
+def jittered_profile(n, seed):
+    """A smooth random profile on a grid whose interior nodes move by up to
+    0.3 of a cell."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, n)
+    x[1:-1] += rng.uniform(-0.3, 0.3, n - 2) / (n - 1)
+    k = np.arange(1, 9)
+    u = np.sin(np.pi * np.outer(x, k)) @ (rng.normal(0.0, 0.3, 8) / k**2)
+    u[0] = u[-1] = 0.0
+    return GridFunction(x, u)
+
+
+@pytest.mark.parametrize("density, n, seed", [("ex1", 101, 1), ("quadratic", 61, 1)])
+def test_descent_matches_a_plain_lbfgs_bit_for_bit(request, quadratic_density, density, n, seed):
+    # run until no step lowers the energy: both runs take short Wolfe points,
+    # one of them after the last trial, and the quadratic run rejects pairs,
+    # whose rows must not overwrite a kept pair
+    spec = quadratic_density if density == "quadratic" else request.getfixturevalue(density)
+    init = jittered_profile(n, seed)
+    opts = MinimizeOptions(max_iters=100000, grad_tol=1e-300)
+    events = {"short": 0, "short_taken": 0, "rejected": 0}
+    history, n_fev, reason = plain_lbfgs(spec, 0.1, init, opts, events)
+    res = minimize_Ieps(spec, 0.1, init, opts)
+    assert res.history == history
+    assert res.value == history[-1] and res.n_fev == n_fev and res.reason == reason
+    assert reason == "line_search" and events["short_taken"] > 0
+    if density == "quadratic":
+        assert events["rejected"] > 0
+
+
+def test_descent_faults_in_its_workspace_once(tmp_path):
+    # with a fresh array per operation this descent took about 43,000 minor
+    # faults, one new mapping per grid-sized temporary; the workspace is
+    # faulted in once
+    pytest.importorskip("resource")
+    script = textwrap.dedent("""
+        import resource
+        import tripwell.minimizer as minimizer
+        from tripwell import PotentialSpec, limit_constants
+
+        spec = PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0))
+        c = limit_constants(spec)
+        opts = minimizer.MinimizeOptions(max_iters=100)
+        init = minimizer._build_seed(spec, 0.07, "three-well", (), c)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        res = minimizer.minimize_Ieps(spec, 0.07, init, opts)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert res.iterations == 100
+        print(len(init), after - before)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    nodes, faults = map(int, proc.stdout.split())
+    # S and Y, three x and three g rows, d and its scratch row, and the
+    # objective's stencil, u_x, u_xx and four stage buffers
+    pages = (2 * minimizer.MEMORY + 17) * 8 * nodes / 4096
+    assert faults <= 1.5 * pages
 
 
 def test_quadratic_mode_converges_to_zero(quadratic_density):
@@ -168,14 +311,15 @@ def test_quadratic_mode_below_rounding_stops_in_the_line_search(quadratic_densit
 def test_line_search_takes_an_overflowing_trial_as_too_long():
     # sum(exp(x) - x) has its minimum at 0; the first trial overflows exp
     def fg(x):
-        return float(np.sum(np.exp(x) - x)), lambda: np.exp(x) - 1.0
+        return float(np.sum(np.exp(x) - x)), lambda out: np.subtract(np.exp(x), 1.0, out=out)
 
     x = np.array([-1.0, -2.0])
     f, grad = fg(x)
-    g = grad()
+    g = grad(None)
     d = -g
     gd = float(g @ d)
-    x_new, f_new, g_new = minimizer._wolfe_step(fg, x, f, gd, d, 1000.0)
+    trials = [(np.empty(2), np.empty(2)) for _ in range(2)]
+    x_new, f_new, g_new = minimizer._wolfe_step(fg, x, f, gd, d, 1000.0, trials)
     assert np.isfinite(f_new) and np.all(np.isfinite(g_new))
     assert f_new <= f + minimizer.ARMIJO * float((x_new - x) @ g)
     assert float(g_new @ d) >= minimizer.CURVATURE * gd
@@ -205,6 +349,7 @@ def test_multi_start_skips_a_seed_that_fails_to_build(ex2, c2):
     res = multi_start(ex2, 0.1, opts, c2)
     assert res.start_kind == "two-well"
     assert [s.start_kind for s in res.per_start] == ["two-well", "three-well"]
+    assert [kind for kind, _ in res.failed] == ["h7-competitor"]
 
 
 def test_multi_start_reproducible(ex1, c1):
@@ -250,6 +395,25 @@ def test_serial_ladder_holds_one_rung_of_results(ex1, c1, monkeypatch):
     records = epsilon_sweep(ex1, [0.1, 0.07, 0.05], opts, c1, max_workers=1)
     assert len(records) == 3 and len(seen) == 3
     assert max(seen) <= opts.starts + 1
+
+
+def test_descents_keep_their_results_whole(ex1, c1, monkeypatch):
+    # a caller of minimize_Ieps, as a tracer is, keeps each result as returned
+    kept, descend = [], minimizer.minimize_Ieps
+
+    def keep(*args):
+        kept.append(descend(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(minimizer, "minimize_Ieps", keep)
+    monkeypatch.setattr(minimizer, "_workers", lambda tasks: 1)
+    res = multi_start(ex1, 0.1, FAST, c1)
+    assert len(kept) == FAST.starts
+    for r, record in zip(kept, res.per_start):
+        assert len(r.u) == record.n_nodes and r.value == record.value
+        assert r.start_kind == "" and r.per_start == []
+    winner = kept[[s.start_kind for s in res.per_start].index(res.start_kind)]
+    assert np.array_equal(res.u.values, winner.u.values) and res.history == winner.history
 
 
 def test_competitor_seeds_descend(ex2, c2):
@@ -426,6 +590,11 @@ def test_pool_records_a_start_that_raises_in_a_worker(ex1, c1, pooled, monkeypat
     monkeypatch.setattr(minimizer, "minimize_Ieps", fail_three_well)
     res = multi_start(ex1, 0.1, POOLED, c1)
     assert [s.start_kind for s in res.per_start] == ["two-well", "random-0"]
+    assert res.failed == [("three-well", "three-well descent failed")]
+    assert_no_child_process()
+    # a sweep record lists the failed start too
+    record, = epsilon_sweep(ex1, [0.1], POOLED, c1)
+    assert record.failed == res.failed
     assert_no_child_process()
 
     def fail(spec, eps, init, opts):
@@ -508,10 +677,15 @@ def test_sweep_never_loads_numpy_random(tmp_path):
             assert records[0].per_start[-1].start_kind == "random-0"
         assert "numpy.random" not in sys.modules
     """)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def child_env() -> dict:
+    """This environment, with this package first on the path of a child."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.dirname(minimizer.__file__)),
                     env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    return env
