@@ -508,7 +508,8 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
     The starts of every rung, seed builds and descents, run together
     (``_run_starts``, at most ``max_workers`` worker processes unless that
     is 0); ``multi_start`` picks each rung's winner from its outcomes as
-    they arrive, keeping only the best so far.  Volume fractions are
+    they arrive, keeping only the best so far.  A rung whose two-well start
+    failed stops the ladder with a ConstructionError.  Volume fractions are
     evaluated at eta = eps^(1/(q+1)); layer counts use the same eta capped
     below the band-degeneracy bound (at moderate eps the natural window is
     too wide for the layer definitions to make sense).
@@ -528,6 +529,11 @@ def epsilon_sweep(spec, eps_list, opts: MinimizeOptions = MinimizeOptions(),
     with closing(_run_starts(spec, eps_list, opts, c, max_workers)) as rungs:
         for eps in eps_list:
             best = multi_start(spec, eps, opts, c, next(rungs))
+            two_well = dict(best.failed).get("two-well")
+            if two_well is not None:
+                # a rung without its two-well start would name some other
+                # start the winner, and the ladder's pattern would mean nothing
+                raise ConstructionError(f"eps={eps:g}: the two-well start failed: {two_well}")
             eta = eps ** (1.0 / (q + 1.0))
             vf = volume_fractions(best.u, spec, min(eta, 0.5 * (z3 - z1) - 1e-9))
             layers = transition_layers(best.u, spec, min(eta, eta_layer_cap))

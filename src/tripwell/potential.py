@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import numbers
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -42,13 +41,11 @@ class PotentialSpec:
         wells: ordered wells (z1, z2, z3) with z1 < 0 < z2 < z3.
         coeffs: monomial coefficients, ascending degree.  Derived from the
             wells for the canonical family; required for custom densities.
-        coercivity: optional sampled coercivity record.
     """
 
     kind: str = TRIPLE_WELL
     wells: tuple[float, float, float] = (-1.0, 1.0 / 3.0, 1.0)
     coeffs: tuple[float, ...] = ()
-    coercivity: Optional[Coercivity] = None
 
     def __post_init__(self):
         z1, z2, z3 = (float(z) for z in self.wells)
@@ -125,8 +122,6 @@ class PotentialSpec:
         out = {"kind": self.kind, "wells": list(self.wells)}
         if self.kind == CUSTOM_POLY:
             out["coeffs"] = list(self.coeffs)
-        if self.coercivity is not None:
-            out["coercivity"] = asdict(self.coercivity)
         return out
 
     @staticmethod
@@ -137,29 +132,21 @@ class PotentialSpec:
             raise SpecificationError("potential lacks wells")
         wells = data["wells"]
         coeffs = data.get("coeffs", ())
-        coer = data.get("coercivity")
         if not (_numbers(wells) and len(wells) == 3):
             raise SpecificationError("potential wells must be a list of three numbers")
         if not _numbers(coeffs):
             raise SpecificationError("potential coeffs must be a list of numbers")
-        if coer and not (isinstance(coer, dict) and set(coer) == {"q", "eta0", "c0"}
-                         and all(_is_number(v) for v in coer.values())):
-            raise SpecificationError("potential coercivity must hold the numbers q, eta0 and c0")
         return PotentialSpec(
             kind=data.get("kind", TRIPLE_WELL),
             wells=tuple(wells),
             coeffs=tuple(coeffs),
-            coercivity=Coercivity(**coer) if coer else None,
         )
 
 
-def _is_number(v) -> bool:
-    """Whether ``v`` is a real number (a boolean is not)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 def _numbers(seq) -> bool:
-    return isinstance(seq, (list, tuple)) and all(_is_number(v) for v in seq)
+    """Whether ``seq`` is a list of real numbers (a boolean is not one)."""
+    return isinstance(seq, (list, tuple)) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in seq)
 
 
 def load_potential(path) -> PotentialSpec:
@@ -231,10 +218,8 @@ def eta0_bound(spec: PotentialSpec) -> float:
 
 
 def coercivity_exponent(spec: PotentialSpec) -> float:
-    """Exponent q of the coercivity bound: the attached record's, else the
-    largest well order 2*m_i, which is exact and needs no sampling."""
-    if spec.coercivity is not None:
-        return spec.coercivity.q
+    """Exponent q of the coercivity bound: the largest well order 2*m_i,
+    which is exact and needs no sampling."""
     return float(2 * max(spec.factors[0]))
 
 
@@ -265,9 +250,7 @@ def estimate_coercivity(spec: PotentialSpec, grid_n: int = 100_000) -> Coercivit
 
 
 def coercivity_of(spec: PotentialSpec) -> Coercivity:
-    """The spec's coercivity record, estimating one if absent."""
-    if spec.coercivity is not None:
-        return spec.coercivity
+    """The spec's coercivity record, sampled by ``estimate_coercivity``."""
     return estimate_coercivity(spec)
 
 

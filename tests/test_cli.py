@@ -171,6 +171,21 @@ def test_sweep_lists_a_start_that_failed_to_build(spec_files, tmp_path):
     assert out.read_text().splitlines()[-1].endswith(",two-well")
 
 
+def test_sweep_stops_at_a_rung_whose_two_well_start_fails(spec_files, tmp_path):
+    # at eps 0.5 the tooth rule gives one tooth; this sweep once exited 0 and
+    # named random-0 the winner at I_eps 162.12
+    p1, _ = spec_files
+    out = tmp_path / "s.csv"
+    r = run_cli("sweep", "--potential", p1, "--eps", "0.5", "--starts", "3",
+                "--max-iters", "5", "--grid-n", "2001", "--out", str(out), env=BLAS_PINNED)
+    assert r.returncode == 2 and r.stdout == ""
+    error = json.loads(r.stderr)["error"]
+    assert error["type"] == "ConstructionError"
+    assert error["message"].startswith("eps=0.5: the two-well start failed: ")
+    assert "tooth rule gives N=1" in error["message"]
+    assert not out.exists()
+
+
 # example 2 times (1 + s^2), a custom density whose sqrt(W) has no closed form
 EX2_TIMES_1_PLUS_S2 = {"kind": "custom-polynomial", "wells": [-1.0, 0.5, 1.0],
                        "coeffs": [0.25, -1, 0.75, 1, -1.25, 1, -0.75, -1, 1]}

@@ -72,9 +72,6 @@ def test_rescaled_vs_unrescaled(ex1, two_well_ladder):
     bi = energy_Ieps(u, eps, ex1)
     be = energy_Eeps(u, eps, ex1)
     assert bi.total == pytest.approx(be.total / eps**2, rel=1e-12)
-    gi = energy_gradient(u, eps, ex1, "I_eps")
-    ge = energy_gradient(u, eps, ex1, "E_eps")
-    assert np.allclose(gi, ge / eps**2, rtol=1e-12, atol=0.0)
 
 
 # the last cases are jittered (random, sorted) grids, where the stencil's left
@@ -214,8 +211,20 @@ def test_kernel_matches_plain_expressions_bit_for_bit(ex1, seed):
     parts, g = plain_kernel(np.array(u.nodes), np.array(u.values), eps, ex1)
     br = energy_Eeps(u, eps, ex1)
     assert (br.interface, br.bulk_W, br.bulk_u2) == parts
-    assert energy_gradient(u, eps, ex1, "E_eps").tobytes() == g.tobytes()
+    assert energy_gradient(u, eps, ex1).tobytes() == (g / eps**2).tobytes()
     f, grad = _ieps_objective(u.grid, eps, ex1)(u.values.copy())
     gi = grad(np.empty(len(u) - 2))
     assert f == energy_Ieps(u, eps, ex1).total
     assert gi.tobytes() == energy_gradient(u, eps, ex1).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["two-well", "h8"])
+def test_interface_plus_W_of_a_whole_profile_is_the_breakdown_bit_for_bit(
+        ex1, ex2, c2, two_well_ladder, kind):
+    eps = 0.07
+    if kind == "two-well":
+        spec, u = ex1, two_well_ladder[eps]
+    else:
+        spec, u = ex2, microstructure.build_h8_competitor(ex2, eps, 0.204, constants=c2)
+    br = energy_Ieps(u, eps, spec)
+    assert interface_plus_W(u, eps, spec) == br.interface + br.bulk_W

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
 from tripwell import (
-    Coercivity,
     PotentialSpec,
     build_h7_competitor,
     build_h8_competitor,
@@ -525,8 +524,9 @@ RISE_SPECS = [
     EX1,
     PotentialSpec(wells=(-1.0, 0.5, 1.0)),
     PotentialSpec(wells=(-2.0, 0.6, 1.5)),
-    # a coercivity record with q = 4 widens the bridge to mu = eps
-    PotentialSpec(wells=(-1.0, 1.0 / 3.0, 1.0), coercivity=Coercivity(4.0, 0.1, 1.0)),
+    # a middle well of order 4 (q = 4) widens the bridge to mu = eps
+    PotentialSpec(kind="custom-polynomial", wells=(-1.0, 1.0 / 3.0, 1.0),
+                  coeffs=tuple(npp.polyfromroots([-1.0, -1.0] + [1.0 / 3.0] * 4 + [1.0, 1.0]))),
 ]
 
 

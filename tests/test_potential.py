@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npp
 from tripwell import (PotentialSpec, estimate_coercivity, eval_dW, eval_W, load_potential,
                       sqrt_W, verify_growth)
 from tripwell.errors import ParameterError, SpecificationError
-from tripwell.potential import eta0_bound
+from tripwell.potential import coercivity_exponent, eta0_bound
 
 
 def test_wells_vanish(ex1, ex2):
@@ -34,7 +34,8 @@ def test_well_ordering_enforced():
     {"wells": [-1.0, 0.5, True]},
     {"wells": [-1.0, 0.5, 1.0], "coeffs": "abc"},
     {"kind": "quartic-well", "wells": [-1.0, 0.5, 1.0]},
-    {"wells": [-1.0, 0.5, 1.0], "coercivity": {"q": 2.0}},
+    {"kind": "polynomial-triple-well", "coeffs": [1.0, 0.0, 1.0]},
+    [-1.0, 0.5, 1.0],
 ])
 def test_from_dict_rejects_malformed_potentials(doc):
     with pytest.raises(SpecificationError):
@@ -42,14 +43,18 @@ def test_from_dict_rejects_malformed_potentials(doc):
 
 
 def test_from_dict_roundtrip(ex1, tmp_path):
-    spec = PotentialSpec(wells=ex1.wells, coercivity=estimate_coercivity(ex1, grid_n=1000))
+    spec = PotentialSpec(wells=ex1.wells)
     assert PotentialSpec.from_dict(spec.to_dict()) == spec
-    # a file with growth_p, which the format once held, loads; the key is
-    # ignored like any other unknown key
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps({**spec.to_dict(), "growth_p": "6"}))
-    loaded = load_potential(path)
-    assert loaded == spec and "growth_p" not in loaded.to_dict()
+    # a file with growth_p or a coercivity record, which the format once
+    # held, loads; each key is ignored like any other unknown key, malformed
+    # or not, and the exponent stays the exact 2 * max m_i
+    for key, value in (("growth_p", "6"), ("coercivity", {"q": 4, "eta0": 0.3, "c0": 0.17}),
+                       ("coercivity", {"q": 2.0})):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**spec.to_dict(), key: value}))
+        loaded = load_potential(path)
+        assert loaded == spec and key not in loaded.to_dict()
+        assert coercivity_exponent(loaded) == 2.0
 
 
 def test_custom_polynomial_matches_family(ex1):
