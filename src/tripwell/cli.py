@@ -128,37 +128,25 @@ def _cmd_check_hypotheses(args, t0):
 
 def _cmd_construct(args, t0):
     from .constants import limit_constants
-    from .microstructure import (
-        build_h7_competitor,
-        build_h8_competitor,
-        build_three_well_profile,
-        build_two_well_sawtooth,
-    )
+    from .microstructure import build_profile
 
-    if args.l0 is not None and not 0.0 < args.l0 < 1.0:
+    if args.kind in ("h7", "h8"):
+        if args.yhat is None or args.l0 is not None:
+            raise _UsageError(f"--kind {args.kind} takes --yhat and no --l0")
+        extra = (args.yhat,)
+    elif args.yhat is not None:
+        raise _UsageError(f"--kind {args.kind} takes no --yhat")
+    elif args.l0 is None:
+        extra = ()
+    elif not 0.0 < args.l0 < 1.0:
         raise ParameterError("--l0 must lie in (0, 1)")
-    spec, dig = _load_spec(args)
-    c = limit_constants(spec)
-    if args.kind == "two-well":
-        interval = (0.0, args.l0) if args.l0 is not None else (0.0, 1.0)
-        gf = build_two_well_sawtooth(spec, args.eps, interval=interval, constants=c)
-    elif args.kind == "three-well":
-        interval = (args.l0, 1.0) if args.l0 is not None else (0.0, 1.0)
-        gf = build_three_well_profile(spec, args.eps, interval=interval, constants=c)
-    elif args.kind == "h7":
-        _require_yhat(args)
-        gf = build_h7_competitor(spec, args.eps, args.yhat, constants=c)
     else:
-        _require_yhat(args)
-        gf = build_h8_competitor(spec, args.eps, args.yhat, constants=c)
+        extra = ((0.0, args.l0) if args.kind == "two-well" else (args.l0, 1.0),)
+    spec, dig = _load_spec(args)
+    gf = build_profile(spec, args.eps, args.kind, *extra, constants=limit_constants(spec))
     gf.save(args.out)
     _emit(args, dig, t0, {"profile": {"out": args.out, "nodes": len(gf), "meta": gf.meta}})
     return 0
-
-
-def _require_yhat(args):
-    if args.yhat is None:
-        raise _UsageError("--yhat is required for competitor kinds")
 
 
 def _cmd_energy(args, t0):
@@ -266,7 +254,7 @@ def _cmd_analyze(args, t0):
 def _cmd_paper_examples(args, t0):
     from .constants import check_hypotheses, limit_constants
     from .energy import energy_Ieps
-    from .microstructure import build_two_well_sawtooth, competitor_plan, competitor_seeds
+    from .microstructure import build_profile, competitor_plan, competitor_seeds
     from .potential import PotentialSpec
 
     summary, held = {}, {}
@@ -285,7 +273,7 @@ def _cmd_paper_examples(args, t0):
     target = c1.A0 / c1.z21
     ladder = []
     for eps in (0.1, 0.07):
-        gf = build_two_well_sawtooth(spec1, eps, constants=c1)
+        gf = build_profile(spec1, eps, "two-well", constants=c1)
         ladder.append({"eps": eps, "I_eps": energy_Ieps(gf, eps, spec1).total,
                        "limit": target})
     summary["example-1"]["two_well_ladder"] = ladder
@@ -293,11 +281,11 @@ def _cmd_paper_examples(args, t0):
     # example 2: competitor energies against the two-well energy line
     spec2, c2, rep2 = held["example-2"]
     comps = {}
-    for kind, yhat, builder in competitor_seeds(rep2):
+    for kind, yhat in competitor_seeds(rep2):
         plan = competitor_plan(spec2, kind, yhat, c2)
         line = c2.A0 * plan.lam[1] + c2.B0 * plan.lam[2]
         eps = 0.07
-        gf = builder(spec2, eps, yhat, constants=c2)
+        gf = build_profile(spec2, eps, kind, yhat, constants=c2)
         comps[kind] = {
             "yhat": yhat, "lambda": list(plan.lam), "eps": eps,
             "I_eps": energy_Ieps(gf, eps, spec2).total,

@@ -10,7 +10,7 @@ wells are degenerate equilibria and explicit steppers stall or overshoot
 there.  The z1 -> z3 transition is one more table, per eps: the two branches
 spliced by a short linear bridge across the degenerate middle well.
 
-Built on top of that:
+Built on top of that (``build_profile`` is the one map from kind to builder):
 
 * a two-well sawtooth whose gradient oscillates z1 <-> z2 with zero-mean
   teeth (period chosen against the optimal rescaled period d*),
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -606,13 +605,25 @@ def build_h8_competitor(spec: PotentialSpec, eps: float, yhat: float,
     return _build_competitor(spec, eps, "h8", yhat, constants)
 
 
-def competitor_seeds(report: HypothesisReport) -> list[tuple[str, float, Callable]]:
-    """(kind, yhat, builder) of the competitor each failing H7 or H8 calls
-    for, h7 first: the pattern at the verdict's worst ratio ``worst_y``."""
-    return [(kind, verdict.worst_y, builder) for kind, verdict, builder in (
-        ("h7", report.h7, build_h7_competitor),
-        ("h8", report.h8, build_h8_competitor),
-    ) if verdict.status == "fails"]
+def competitor_seeds(report: HypothesisReport) -> list[tuple[str, float]]:
+    """(kind, yhat) of the competitor each failing H7 or H8 calls for, h7
+    first: the pattern at the verdict's worst ratio ``worst_y``."""
+    return [(kind, verdict.worst_y) for kind, verdict in (("h7", report.h7), ("h8", report.h8))
+            if verdict.status == "fails"]
+
+
+_BUILDERS = {"two-well": "build_two_well_sawtooth", "three-well": "build_three_well_profile",
+             "h7": "build_h7_competitor", "h8": "build_h8_competitor"}
+
+
+def build_profile(spec: PotentialSpec, eps: float, kind: str, *args,
+                  constants: LimitConstants | None = None) -> GridFunction:
+    """The one map from a profile kind to its builder: ``args`` is an optional
+    interval for two-well and three-well, yhat for h7 and h8.  The builder is
+    looked up by name here at each call, so a replaced builder is the one run."""
+    if kind not in _BUILDERS:
+        raise ParameterError(f"unknown profile kind {kind!r}")
+    return globals()[_BUILDERS[kind]](spec, eps, *args, constants=constants)
 
 
 def _build_competitor(spec: PotentialSpec, eps: float, kind: str, yhat: float,

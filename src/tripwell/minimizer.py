@@ -36,14 +36,7 @@ from .constants import LimitConstants, check_hypotheses, limit_constants
 from .energy import _ieps_objective
 from .errors import ConstructionError, NumericError, ParameterError, TripwellError, check_eps
 from .grids import Grid, GridFunction
-from .microstructure import (
-    build_h7_competitor,
-    build_h8_competitor,
-    build_three_well_profile,
-    build_two_well_sawtooth,
-    competitor_seeds,
-    two_well_count,
-)
+from .microstructure import build_profile, competitor_seeds, two_well_count
 from .potential import coercivity_exponent
 
 MEMORY = 12                    # correction pairs kept by the L-BFGS descent
@@ -185,8 +178,8 @@ def minimize_Ieps(spec, eps: float, init: GridFunction,
     counts the energy evaluations.  ``reason`` says why the descent
     stopped: ``grad_tol`` (the gradient's sup-norm is at most
     ``opts.grad_tol``; only then is ``converged`` True), ``max_iters``, or
-    ``line_search`` (no step lowers the energy enough).  It works in arrays
-    made once, ``(2 * MEMORY + 17) * 8`` bytes per node in all.
+    ``line_search`` (no step lowers the energy enough).  It works in 44
+    arrays made once, ``(2 * MEMORY + 20) * 8`` = 352 bytes per node.
     """
     check_eps(eps)
     full = init.values.copy()
@@ -366,7 +359,7 @@ def _seeds(spec, eps: float, opts: MinimizeOptions,
     if opts.starts > 2:
         report = check_hypotheses(spec, constants=constants)
         plans += [(f"{kind}-competitor", (yhat,))
-                  for kind, yhat, _ in competitor_seeds(report)[: opts.starts - 2]]
+                  for kind, yhat in competitor_seeds(report)[: opts.starts - 2]]
     rng = random.Random(opts.seed)
     base = two_well_count(spec, eps, 1.0, constants)
     for idx in range(opts.starts - len(plans)):
@@ -380,15 +373,12 @@ def _build_seed(spec, eps: float, kind: str, args: tuple,
                 constants: LimitConstants) -> GridFunction:
     """The seed of one start from its ``_seeds`` entry.
 
-    The builder is looked up by its name in this module when the seed is
-    built, so a task never holds a function object (a wrapped builder need
-    not pickle) and a builder replaced here is the one a forked worker runs.
+    A task holds only plain data (a wrapped builder need not pickle), and
+    a worker runs whichever builder ``microstructure`` holds at build time.
     """
     if kind.startswith("random-"):
         return _random_sawtooth(spec, eps, *args)
-    build = {"two-well": build_two_well_sawtooth, "three-well": build_three_well_profile,
-             "h7-competitor": build_h7_competitor, "h8-competitor": build_h8_competitor}[kind]
-    return build(spec, eps, *args, constants=constants)
+    return build_profile(spec, eps, kind.removesuffix("-competitor"), *args, constants=constants)
 
 
 def _descend(spec, eps: float, kind: str, args: tuple, opts: MinimizeOptions,

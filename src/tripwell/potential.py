@@ -38,9 +38,9 @@ class PotentialSpec:
 
     Attributes:
         kind: ``polynomial-triple-well`` or ``custom-polynomial``.
-        wells: ordered wells (z1, z2, z3) with z1 < 0 < z2 < z3.
+        wells: finite ordered wells (z1, z2, z3) with z1 < 0 < z2 < z3.
         coeffs: monomial coefficients, ascending degree.  Derived from the
-            wells for the canonical family; required for custom densities.
+            wells for the canonical family; required and finite for custom densities.
     """
 
     kind: str = TRIPLE_WELL
@@ -49,10 +49,8 @@ class PotentialSpec:
 
     def __post_init__(self):
         z1, z2, z3 = (float(z) for z in self.wells)
-        if not (z1 < 0.0 < z2 < z3):
-            raise SpecificationError(
-                f"wells must satisfy z1 < 0 < z2 < z3, got {self.wells}"
-            )
+        if not (-np.inf < z1 < 0.0 < z2 < z3 < np.inf):
+            raise SpecificationError(f"wells must be finite with z1 < 0 < z2 < z3, got {self.wells}")
         object.__setattr__(self, "wells", (z1, z2, z3))
         if self.kind == TRIPLE_WELL:
             coeffs = npp.polyfromroots([z1, z1, z2, z2, z3, z3])
@@ -61,6 +59,8 @@ class PotentialSpec:
             if len(self.coeffs) < 3:
                 raise SpecificationError("custom-polynomial requires coeffs")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+            if not np.all(np.isfinite(self.coeffs)):
+                raise SpecificationError("custom-polynomial coeffs must be finite")
             self.factors                     # an invalid density fails here
         else:
             raise SpecificationError(f"unknown potential kind {self.kind!r}")

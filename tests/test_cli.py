@@ -87,12 +87,38 @@ def test_construct_energy_analyze_roundtrip(spec_files, tmp_path):
 
 def test_competitor_construct_requires_yhat(spec_files, tmp_path):
     _, p2 = spec_files
+    out = tmp_path / "x.json"
+    # a competitor needs --yhat and takes no --l0; a sawtooth kind takes no --yhat
+    for options in (("--kind", "h7"), ("--kind", "h7", "--yhat", "0.585", "--l0", "0.3"),
+                    ("--kind", "two-well", "--yhat", "3"),
+                    ("--kind", "three-well", "--yhat", "3", "--l0", "0.3")):
+        r = run_cli("construct", "--potential", p2, "--eps", "0.06", *options,
+                    "--out", str(out))
+        assert r.returncode == 1, options
+        assert r.stderr.startswith("usage error: --kind"), options
+        assert not out.exists()
     r = run_cli("construct", "--potential", p2, "--eps", "0.06",
-                "--kind", "h7", "--out", str(tmp_path / "x.json"))
-    assert r.returncode == 1
-    r = run_cli("construct", "--potential", p2, "--eps", "0.06",
-                "--kind", "h7", "--yhat", "0.585", "--out", str(tmp_path / "x.json"))
+                "--kind", "h7", "--yhat", "0.585", "--out", str(out))
     assert r.returncode == 0
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("constants", {"wells": [-float("inf"), 0.5, 1.0]}, "wells must be finite"),
+    ("check-hypotheses", {"wells": [-1.0, 0.5, float("inf")]}, "wells must be finite"),
+    ("constants", {"kind": "custom-polynomial", "wells": [-1.0, 0.5, 1.0],
+                   "coeffs": [0.25, 0.0, -1.25, 0.5, 1.0, -1.0, float("nan")]},
+     "custom-polynomial coeffs must be finite"),
+], ids=["constants-minus-inf-well", "check-hypotheses-inf-well", "constants-nan-coeff"])
+def test_non_finite_potential_exits_2_before_any_warning(tmp_path, command, doc, message):
+    # json writes -Infinity, Infinity and NaN, and Python's json reads them back
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(command, "--potential", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("{")                       # no warning came first
+    error = json.loads(r.stderr)["error"]
+    assert error["type"] == "SpecificationError"
+    assert error["message"].startswith(message)
 
 
 def test_minimize_command_roundtrip(spec_files, tmp_path):

@@ -15,6 +15,7 @@ from tripwell import (
     build_h8_competitor,
     build_three_well_profile,
     build_two_well_sawtooth,
+    check_hypotheses,
     energy_gradient,
     energy_Ieps,
     eval_f,
@@ -29,8 +30,10 @@ from tripwell.microstructure import (
     _rise_table,
     _upper_branch,
     _zero_mean,
+    build_profile,
     competitor_period_count,
     competitor_plan,
+    competitor_seeds,
     two_well_count,
 )
 from tripwell.potential import coercivity_exponent
@@ -375,6 +378,39 @@ def test_competitor_guards(ex2, c2):
         build_h7_competitor(ex2, 0.05, -0.5, constants=c2)
     with pytest.raises(ConstructionError):
         build_h7_competitor(ex2, 0.45, 0.585, constants=c2)
+
+
+@pytest.mark.parametrize("kind, spec, args, direct", [
+    ("two-well", "ex1", (), lambda s, c: build_two_well_sawtooth(s, 0.07, constants=c)),
+    ("two-well", "ex1", ((0.0, 0.6),),
+     lambda s, c: build_two_well_sawtooth(s, 0.07, interval=(0.0, 0.6), constants=c)),
+    ("three-well", "ex1", (), lambda s, c: build_three_well_profile(s, 0.07, constants=c)),
+    ("h7", "ex2", (0.585,), lambda s, c: build_h7_competitor(s, 0.07, 0.585, constants=c)),
+    ("h8", "ex2", (0.204,), lambda s, c: build_h8_competitor(s, 0.07, 0.204, constants=c)),
+], ids=["two-well", "two-well-0-0.6", "three-well", "h7", "h8"])
+def test_build_profile_is_the_direct_builder(ex1, ex2, c1, c2, kind, spec, args, direct):
+    spec, c = (ex1, c1) if spec == "ex1" else (ex2, c2)
+    u, v = build_profile(spec, 0.07, kind, *args, constants=c), direct(spec, c)
+    assert u.nodes.tobytes() == v.nodes.tobytes()
+    assert u.values.tobytes() == v.values.tobytes()
+    assert u.meta == v.meta
+
+
+def test_build_profile_looks_the_builder_up_when_called(ex1, c1, monkeypatch):
+    from tripwell import microstructure
+
+    monkeypatch.setattr(microstructure, "build_three_well_profile",
+                        lambda spec, eps, *args, constants: (spec, eps, args, constants))
+    assert build_profile(ex1, 0.07, "three-well", (0.2, 1.0), constants=c1) == (
+        ex1, 0.07, ((0.2, 1.0),), c1)
+    with pytest.raises(ParameterError, match="unknown profile kind 'h9'"):
+        build_profile(ex1, 0.07, "h9", constants=c1)
+
+
+def test_competitor_seeds_are_kind_and_yhat_pairs(ex1, ex2):
+    rep = check_hypotheses(ex2)
+    assert competitor_seeds(rep) == [("h7", rep.h7.worst_y), ("h8", rep.h8.worst_y)]
+    assert competitor_seeds(check_hypotheses(ex1)) == []
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.05, np.nan, np.inf])

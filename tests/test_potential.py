@@ -26,6 +26,15 @@ def test_well_ordering_enforced():
         PotentialSpec(wells=(0.5, 1.0, 2.0))
     with pytest.raises(SpecificationError):
         PotentialSpec(wells=(-1.0, 1.0, 0.5))
+    # -inf < 0 and 1 < inf hold, so the order alone admits an infinite well
+    for wells in ((-np.inf, 0.5, 1.0), (-1.0, 0.5, np.inf), (np.nan, 0.5, 1.0)):
+        with pytest.raises(SpecificationError, match="wells must be finite"):
+            PotentialSpec(wells=wells)
+    coeffs = list(PotentialSpec(wells=(-1.0, 0.5, 1.0)).coeffs)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SpecificationError, match="custom-polynomial coeffs must be finite"):
+            PotentialSpec(kind="custom-polynomial", wells=(-1.0, 0.5, 1.0),
+                          coeffs=(*coeffs[:-1], bad))
 
 
 @pytest.mark.parametrize("doc", [
